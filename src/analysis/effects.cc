@@ -643,12 +643,6 @@ describe_access(const Access& a)
 
 namespace {
 
-std::string
-conflict_pair(const Access& a, const Access& b)
-{
-    return describe_access(a) + " vs " + describe_access(b);
-}
-
 /**
  * Collect every cross-iteration conflict of `loop` into `out` (which
  * may be null when only the boolean answer matters; collection then
@@ -663,12 +657,19 @@ cross_iteration_conflicts(const Context& ctx, const StmtPtr& loop,
     // The pair loop below visits ordered pairs; report each unordered
     // pair once.
     std::set<std::pair<std::string, std::string>> seen;
-    auto emit = [&](const Access& a, const Access& b, std::string detail) {
+    // The detail reads `head` + "<a> vs <b>" + `tail`; it is only built
+    // when collecting.
+    auto emit = [&](const Access& a, const Access& b, const std::string& head,
+                    const std::string& tail = "") {
         found = true;
-        if (out) {
-            auto key = std::minmax(describe_access(a), describe_access(b));
-            if (seen.insert(key).second)
-                out->push_back(LoopConflict{a.buf, a, b, std::move(detail)});
+        if (!out)
+            return;
+        std::string da = describe_access(a);
+        std::string db = describe_access(b);
+        auto key = da < db ? std::make_pair(da, db) : std::make_pair(db, da);
+        if (seen.insert(std::move(key)).second) {
+            out->push_back(
+                LoopConflict{a.buf, a, b, head + da + " vs " + db + tail});
         }
     };
     auto accs = collect_accesses_block(loop->body());
@@ -695,19 +696,17 @@ cross_iteration_conflicts(const Context& ctx, const StmtPtr& loop,
             if (a.whole_buffer || b.whole_buffer) {
                 emit(a, b,
                      "opaque access to '" + a.buf + "' across iterations of '" +
-                         iter + "': " + conflict_pair(a, b));
+                         iter + "': ");
                 continue;
             }
             if (a.idx.empty() && b.idx.empty()) {
                 emit(a, b,
                      "scalar '" + a.buf + "' carried across iterations of '" +
-                         iter + "': " + conflict_pair(a, b));
+                         iter + "': ");
                 continue;
             }
             if (a.idx.size() != b.idx.size()) {
-                emit(a, b,
-                     "shape mismatch on '" + a.buf + "': " +
-                         conflict_pair(a, b));
+                emit(a, b, "shape mismatch on '" + a.buf + "': ");
                 continue;
             }
             // Rename iteration variables apart: i (in a) vs i' (in b),
@@ -753,9 +752,9 @@ cross_iteration_conflicts(const Context& ctx, const StmtPtr& loop,
             if (!sys.infeasible()) {
                 emit(a, b,
                      "possible cross-iteration dependence on '" + a.buf +
-                         "': " + conflict_pair(a, b) +
-                         " may touch the same cell in two distinct "
-                         "iterations of '" + iter + "'");
+                         "': ",
+                     " may touch the same cell in two distinct "
+                     "iterations of '" + iter + "'");
             }
         }
     }

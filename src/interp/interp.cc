@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/interp/walk.h"
 #include "src/ir/errors.h"
-#include "src/ir/printer.h"
 
 namespace exo2 {
 
@@ -102,412 +102,88 @@ extern_registry()
     return reg;
 }
 
-/** A strided view into a Buffer. */
-struct View
-{
-    Buffer* buf = nullptr;
-    int64_t offset = 0;
-    std::vector<int64_t> dims;
-    std::vector<int64_t> strides;
-
-    int64_t flatten(const std::vector<int64_t>& idx) const
-    {
-        if (idx.size() != dims.size()) {
-            throw InternalError("interp: access arity mismatch on view (" +
-                                std::to_string(idx.size()) + " vs " +
-                                std::to_string(dims.size()) + ")");
-        }
-        int64_t f = offset;
-        for (size_t d = 0; d < idx.size(); d++) {
-            if (idx[d] < 0 || idx[d] >= dims[d]) {
-                throw InternalError(
-                    "interp: out-of-bounds access: index " +
-                    std::to_string(idx[d]) + " not in [0, " +
-                    std::to_string(dims[d]) + ")");
-            }
-            f += idx[d] * strides[d];
-        }
-        if (f < 0 || f >= buf->size()) {
-            throw InternalError(
-                "interp: absolute access out of the underlying buffer");
-        }
-        return f;
-    }
-
-    static View whole(Buffer* b)
-    {
-        View v;
-        v.buf = b;
-        v.dims = b->dims();
-        v.strides.assign(v.dims.size(), 1);
-        int64_t s = 1;
-        for (size_t d = v.dims.size(); d-- > 0;) {
-            v.strides[d] = s;
-            s *= v.dims[d];
-        }
-        return v;
-    }
-};
-
-/** Runtime binding of a name. */
-struct Binding
-{
-    enum class Kind { Index, Scalar, Buf } kind = Kind::Index;
-    int64_t index = 0;
-    double scalar = 0.0;
-    View view;
-};
-
-struct Frame
-{
-    std::map<std::string, Binding> names;
-    std::vector<std::unique_ptr<Buffer>> locals;
-};
-
-class Machine
+/** Real data: the reference semantics every schedule must preserve. */
+class ValuePolicy : public Walker<ValuePolicy, Buffer*>
 {
   public:
-    std::map<std::string, double> config;
+    static constexpr const char* kName = "interp";
+    static constexpr bool kShortCircuit = true;
+    static constexpr bool kRoundF32 = true;
+    static constexpr bool kTotalFloatDiv = false;
+    static constexpr bool kCheckWindows = true;
+    static constexpr bool kScopeBlocks = true;
+    static constexpr bool kCheckAsserts = true;
+    static constexpr bool kPriceInstrs = false;
 
-    void run_proc(const ProcPtr& p, std::vector<Binding> args)
+    double load(Frame& f, const View& v, const ExprPtr& e)
     {
-        Frame frame;
-        const auto& formals = p->args();
-        if (args.size() != formals.size()) {
-            throw InternalError("interp: call arity mismatch in " +
-                                p->name());
-        }
-        for (size_t i = 0; i < formals.size(); i++)
-            frame.names[formals[i].name] = std::move(args[i]);
-        // Check asserts.
-        for (const auto& pred : p->preds()) {
-            if (eval(frame, pred) == 0.0) {
-                throw InternalError("interp: assertion failed in " +
-                                    p->name() + ": " + print_expr(pred));
-            }
-        }
-        exec_block(frame, p->body_stmts());
+        return v.mem->at(checked_flat(v, eval_idx(f, e->idx())));
     }
 
-    double eval(Frame& f, const ExprPtr& e)
+    void store(Frame& f, const View& v, const StmtPtr& s, double x)
     {
-        switch (e->kind()) {
-          case ExprKind::Const:
-            return e->const_value();
-          case ExprKind::Read: {
-            auto it = f.names.find(e->name());
-            if (it == f.names.end()) {
-                throw InternalError("interp: unbound name '" + e->name() +
-                                    "'");
-            }
-            Binding& b = it->second;
-            if (b.kind == Binding::Kind::Index)
-                return static_cast<double>(b.index);
-            if (b.kind == Binding::Kind::Scalar)
-                return b.scalar;
-            std::vector<int64_t> idx;
-            idx.reserve(e->idx().size());
-            for (const auto& i : e->idx())
-                idx.push_back(eval_int(f, i));
-            return b.view.buf->at(b.view.flatten(idx));
-          }
-          case ExprKind::BinOp: {
-            double l = eval(f, e->lhs());
-            if (e->op() == BinOpKind::And)
-                return (l != 0.0 && eval(f, e->rhs()) != 0.0) ? 1.0 : 0.0;
-            if (e->op() == BinOpKind::Or)
-                return (l != 0.0 || eval(f, e->rhs()) != 0.0) ? 1.0 : 0.0;
-            double r = eval(f, e->rhs());
-            // The expression's declared type is the semantics: f32
-            // arithmetic rounds each operation to f32, exactly as the
-            // C backend compiles it (which builds with -ffp-contract
-            // off). Without this, mixed-precision kernels (sdsdot /
-            // dsdot: f32 products into an f64 accumulator) diverge
-            // between the interpreter and generated C.
-            auto fp = [&](double v) {
-                return e->type() == ScalarType::F32
-                           ? static_cast<double>(static_cast<float>(v))
-                           : v;
-            };
-            switch (e->op()) {
-              case BinOpKind::Add: return fp(l + r);
-              case BinOpKind::Sub: return fp(l - r);
-              case BinOpKind::Mul: return fp(l * r);
-              case BinOpKind::Div: {
-                if (e->type() == ScalarType::Index) {
-                    int64_t li = static_cast<int64_t>(l);
-                    int64_t ri = static_cast<int64_t>(r);
-                    if (ri == 0)
-                        throw InternalError("interp: division by zero");
-                    // floor division
-                    int64_t q = li / ri;
-                    if ((li % ri != 0) && ((li < 0) != (ri < 0)))
-                        q -= 1;
-                    return static_cast<double>(q);
-                }
-                return fp(l / r);
-              }
-              case BinOpKind::Mod: {
-                int64_t li = static_cast<int64_t>(l);
-                int64_t ri = static_cast<int64_t>(r);
-                if (ri == 0)
-                    throw InternalError("interp: modulo by zero");
-                int64_t m = li % ri;
-                if (m != 0 && ((li < 0) != (ri < 0)))
-                    m += ri;
-                return static_cast<double>(m);
-              }
-              case BinOpKind::Lt: return l < r ? 1.0 : 0.0;
-              case BinOpKind::Le: return l <= r ? 1.0 : 0.0;
-              case BinOpKind::Gt: return l > r ? 1.0 : 0.0;
-              case BinOpKind::Ge: return l >= r ? 1.0 : 0.0;
-              case BinOpKind::Eq: return l == r ? 1.0 : 0.0;
-              case BinOpKind::Ne: return l != r ? 1.0 : 0.0;
-              default:
-                throw InternalError("interp: bad binop");
-            }
-          }
-          case ExprKind::USub:
-            // Negation is exact in binary floating point; no rounding.
-            return -eval(f, e->lhs());
-          case ExprKind::Stride: {
-            auto it = f.names.find(e->name());
-            if (it == f.names.end() ||
-                it->second.kind != Binding::Kind::Buf) {
-                throw InternalError("interp: stride() of non-buffer");
-            }
-            const View& v = it->second.view;
-            size_t d = static_cast<size_t>(e->stride_dim());
-            if (d >= v.strides.size())
-                throw InternalError("interp: stride() dim out of range");
-            return static_cast<double>(v.strides[d]);
-          }
-          case ExprKind::ReadConfig: {
-            auto key = e->name() + "." + e->field();
-            return config[key];
-          }
-          case ExprKind::Extern: {
-            auto& reg = extern_registry();
-            auto it = reg.find(e->name());
-            if (it == reg.end()) {
-                throw InternalError("interp: unknown extern '" +
-                                    e->name() + "'");
-            }
-            std::vector<double> args;
-            for (const auto& a : e->idx())
-                args.push_back(eval(f, a));
-            return it->second(args);
-          }
-          case ExprKind::Window:
-            throw InternalError("interp: window outside call argument");
-        }
-        throw InternalError("interp: unknown expr kind");
+        int64_t flat = checked_flat(v, eval_idx(f, s->idx()));
+        if (s->kind() == StmtKind::Reduce)
+            x += v.mem->at(flat);
+        v.mem->set(flat, x);
     }
 
-    int64_t eval_int(Frame& f, const ExprPtr& e)
+    void store_scalar(Binding& b, const StmtPtr& s, double x)
     {
-        return static_cast<int64_t>(eval(f, e));
+        if (b.kind != Binding::Kind::Scalar)
+            fail("writing a loop index");
+        if (!s->idx().empty())
+            fail("indexing a scalar");
+        if (s->kind() == StmtKind::Reduce)
+            x += b.scalar;
+        b.scalar = convert(s->type(), x);
     }
 
-    View eval_view(Frame& f, const ExprPtr& e)
+    View alloc(const StmtPtr& s, std::vector<int64_t> dims)
     {
-        if (e->kind() == ExprKind::Read && e->idx().empty()) {
-            auto it = f.names.find(e->name());
-            if (it == f.names.end() ||
-                it->second.kind != Binding::Kind::Buf) {
-                throw InternalError("interp: '" + e->name() +
-                                    "' is not a buffer");
-            }
-            return it->second.view;
-        }
-        if (e->kind() != ExprKind::Window)
-            throw InternalError("interp: expected buffer or window arg");
-        auto it = f.names.find(e->name());
-        if (it == f.names.end() || it->second.kind != Binding::Kind::Buf)
-            throw InternalError("interp: window of non-buffer");
-        const View& base = it->second.view;
-        if (e->window_dims().size() != base.dims.size())
-            throw InternalError("interp: window arity mismatch");
-        View v;
-        v.buf = base.buf;
-        v.offset = base.offset;
-        for (size_t d = 0; d < base.dims.size(); d++) {
-            const WindowDim& wd = e->window_dims()[d];
-            int64_t lo = eval_int(f, wd.lo);
-            // Negative low bounds arise from range-masked instructions
-            // whose low lanes are masked off; the absolute bounds check
-            // in View::flatten catches any actual out-of-range access.
-            if (lo > base.dims[d]) {
-                throw InternalError("interp: window low bound " +
-                                    std::to_string(lo) + " out of range");
-            }
-            v.offset += lo * base.strides[d];
-            if (!wd.is_point()) {
-                int64_t hi = eval_int(f, wd.hi);
-                // Degenerate (empty / negative) windows are legal for
-                // fully-masked instructions: no lane may touch them.
-                if (hi < lo)
-                    hi = lo;
-                if (hi > base.dims[d]) {
-                    throw InternalError("interp: window high bound out of "
-                                        "range");
-                }
-                v.dims.push_back(hi - lo);
-                v.strides.push_back(base.strides[d]);
-            }
-        }
-        return v;
+        locals_.push_back(std::make_unique<Buffer>(s->type(), dims));
+        return View::whole(locals_.back().get(), std::move(dims));
     }
 
-    void exec_block(Frame& f, const std::vector<StmtPtr>& block)
+    size_t locals_mark() const { return locals_.size(); }
+    void release_locals(size_t mark) { locals_.resize(mark); }
+
+    double call_extern(const std::string& fn, const std::vector<double>& args)
     {
-        // Scope allocations and window bindings to the block so that
-        // loops do not accumulate dead local buffers.
-        size_t mark = f.locals.size();
-        std::vector<std::pair<std::string, std::optional<Binding>>> saved;
-        for (const auto& s : block) {
-            if (s->kind() == StmtKind::Alloc ||
-                s->kind() == StmtKind::WindowDecl) {
-                auto it = f.names.find(s->name());
-                saved.emplace_back(s->name(),
-                                   it != f.names.end()
-                                       ? std::optional<Binding>(it->second)
-                                       : std::nullopt);
-            }
-            exec(f, s);
-        }
-        for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-            if (it->second)
-                f.names[it->first] = *it->second;
-            else
-                f.names.erase(it->first);
-        }
-        f.locals.resize(mark);
+        auto& reg = extern_registry();
+        auto it = reg.find(fn);
+        if (it == reg.end())
+            fail("unknown extern '" + fn + "'");
+        return it->second(args);
     }
 
-    void exec(Frame& f, const StmtPtr& s)
+    /** Scalars round to the formal's type at the call boundary, as C
+     *  parameter passing does. */
+    static double scalar_arg(ScalarType formal, double v)
     {
-        switch (s->kind()) {
-          case StmtKind::Assign:
-          case StmtKind::Reduce: {
-            double v = eval(f, s->rhs());
-            auto it = f.names.find(s->name());
-            if (it == f.names.end()) {
-                throw InternalError("interp: unbound write target '" +
-                                    s->name() + "'");
-            }
-            Binding& b = it->second;
-            if (b.kind == Binding::Kind::Scalar) {
-                if (!s->idx().empty())
-                    throw InternalError("interp: indexing a scalar");
-                if (s->kind() == StmtKind::Reduce)
-                    b.scalar = convert(s->type(), b.scalar + v);
-                else
-                    b.scalar = convert(s->type(), v);
-                return;
-            }
-            if (b.kind != Binding::Kind::Buf)
-                throw InternalError("interp: writing a loop index");
-            std::vector<int64_t> idx;
-            idx.reserve(s->idx().size());
-            for (const auto& i : s->idx())
-                idx.push_back(eval_int(f, i));
-            int64_t flat = b.view.flatten(idx);
-            if (s->kind() == StmtKind::Reduce)
-                v += b.view.buf->at(flat);
-            b.view.buf->set(flat, v);
-            return;
-          }
-          case StmtKind::Alloc: {
-            std::vector<int64_t> dims;
-            for (const auto& d : s->dims())
-                dims.push_back(eval_int(f, d));
-            auto buf = std::make_unique<Buffer>(s->type(), dims);
-            Binding b;
-            if (dims.empty()) {
-                b.kind = Binding::Kind::Scalar;
-                b.scalar = 0.0;
-                f.names[s->name()] = b;
-                return;
-            }
-            b.kind = Binding::Kind::Buf;
-            b.view = View::whole(buf.get());
-            f.locals.push_back(std::move(buf));
-            f.names[s->name()] = b;
-            return;
-          }
-          case StmtKind::For: {
-            int64_t lo = eval_int(f, s->lo());
-            int64_t hi = eval_int(f, s->hi());
-            Binding iter;
-            iter.kind = Binding::Kind::Index;
-            auto saved = f.names.find(s->iter()) != f.names.end()
-                             ? std::optional<Binding>(f.names[s->iter()])
-                             : std::nullopt;
-            for (int64_t i = lo; i < hi; i++) {
-                iter.index = i;
-                f.names[s->iter()] = iter;
-                exec_block(f, s->body());
-            }
-            if (saved)
-                f.names[s->iter()] = *saved;
-            else
-                f.names.erase(s->iter());
-            return;
-          }
-          case StmtKind::If: {
-            if (eval(f, s->cond()) != 0.0)
-                exec_block(f, s->body());
-            else
-                exec_block(f, s->orelse());
-            return;
-          }
-          case StmtKind::Pass:
-            return;
-          case StmtKind::Call: {
-            const ProcPtr& callee = s->callee();
-            if (!callee)
-                throw InternalError("interp: unresolved call");
-            std::vector<Binding> args;
-            const auto& formals = callee->args();
-            if (formals.size() != s->args().size())
-                throw InternalError("interp: call arity mismatch");
-            for (size_t i = 0; i < formals.size(); i++) {
-                Binding b;
-                if (formals[i].dims.empty()) {
-                    if (formals[i].is_size ||
-                        formals[i].type == ScalarType::Index) {
-                        b.kind = Binding::Kind::Index;
-                        b.index = eval_int(f, s->args()[i]);
-                    } else {
-                        b.kind = Binding::Kind::Scalar;
-                        // Scalars round to the formal's type at the
-                        // call boundary, as C parameter passing does.
-                        b.scalar = convert(formals[i].type,
-                                           eval(f, s->args()[i]));
-                    }
-                } else {
-                    b.kind = Binding::Kind::Buf;
-                    b.view = eval_view(f, s->args()[i]);
-                }
-                args.push_back(std::move(b));
-            }
-            run_proc(callee, std::move(args));
-            return;
-          }
-          case StmtKind::WriteConfig: {
-            config[s->name() + "." + s->field()] = eval(f, s->rhs());
-            return;
-          }
-          case StmtKind::WindowDecl: {
-            Binding b;
-            b.kind = Binding::Kind::Buf;
-            b.view = eval_view(f, s->rhs());
-            f.names[s->name()] = b;
-            return;
-          }
+        return convert(formal, v);
+    }
+
+  private:
+    std::vector<std::unique_ptr<Buffer>> locals_;
+
+    static int64_t checked_flat(const View& v, const std::vector<int64_t>& idx)
+    {
+        if (idx.size() != v.dims.size()) {
+            fail("access arity mismatch on view (" +
+                 std::to_string(idx.size()) + " vs " +
+                 std::to_string(v.dims.size()) + ")");
         }
-        throw InternalError("interp: unknown stmt kind");
+        for (size_t d = 0; d < idx.size(); d++) {
+            if (idx[d] < 0 || idx[d] >= v.dims[d]) {
+                fail("out-of-bounds access: index " + std::to_string(idx[d]) +
+                     " not in [0, " + std::to_string(v.dims[d]) + ")");
+            }
+        }
+        int64_t f = v.flat(idx);
+        if (f < 0 || f >= v.mem->size())
+            fail("absolute access out of the underlying buffer");
+        return f;
     }
 };
 
@@ -522,31 +198,24 @@ register_extern(const std::string& name, ExternFn fn)
 void
 interp_run(const ProcPtr& p, const std::vector<RunArg>& args)
 {
-    Machine m;
-    std::vector<Binding> bindings;
+    using Binding = ValuePolicy::Binding;
     const auto& formals = p->args();
     if (formals.size() != args.size())
         throw InternalError("interp_run: arity mismatch");
+    ValuePolicy::Frame frame;
     for (size_t i = 0; i < formals.size(); i++) {
-        Binding b;
-        switch (args[i].kind) {
-          case RunArg::Kind::Size:
-            b.kind = Binding::Kind::Index;
-            b.index = args[i].size;
-            break;
-          case RunArg::Kind::Scalar:
-            b.kind = Binding::Kind::Scalar;
-            // Round to the formal's type, as C parameter passing does.
-            b.scalar = convert(formals[i].type, args[i].scalar);
-            break;
-          case RunArg::Kind::Buf:
-            b.kind = Binding::Kind::Buf;
-            b.view = View::whole(args[i].buf);
-            break;
-        }
-        bindings.push_back(std::move(b));
+        const RunArg& a = args[i];
+        Binding& b = frame[formals[i].name];
+        if (a.kind == RunArg::Kind::Size)
+            b = Binding::of_index(a.size);
+        else if (a.kind == RunArg::Kind::Scalar)
+            b = Binding::of_scalar(
+                ValuePolicy::scalar_arg(formals[i].type, a.scalar));
+        else
+            b = Binding::of_view(
+                ValuePolicy::View::whole(a.buf, a.buf->dims()));
     }
-    m.run_proc(p, std::move(bindings));
+    ValuePolicy().run(p, std::move(frame));
 }
 
 }  // namespace exo2

@@ -9,7 +9,9 @@
  * instruction calls (interpreted through their semantics bodies),
  * configuration state, and extern scalar functions. The test suite
  * uses it for randomized equivalence checking: every scheduling
- * primitive must preserve the interpreter-observable behaviour.
+ * primitive must preserve the interpreter-observable behaviour. It is
+ * the value policy of the IR walker it shares with the cost simulator
+ * (src/interp/walk.h, DESIGN.md §11).
  */
 
 #include <cstdint>

@@ -14,7 +14,9 @@
  *
  * This is the testbed substitute for the paper's Intel Xeon + FireSim
  * measurements (see DESIGN.md): relative performance between schedules
- * comes from schedule structure, which the model prices uniformly.
+ * comes from schedule structure, which the model prices uniformly. It
+ * is the cost policy of the IR walker it shares with the interpreter
+ * (src/interp/walk.h); DESIGN.md §11 lists where the two differ.
  */
 
 #include <cstdint>
@@ -127,12 +129,6 @@ CostSimCacheStats cost_sim_cache_stats();
 
 /** Reset the counters (does not touch cache contents). */
 void reset_cost_sim_cache_stats();
-
-/** Is cost-result memoization consulted? Defaults to true. */
-bool cost_sim_cache_enabled();
-
-/** Toggle memoization; disabling clears the cache. */
-void set_cost_sim_cache_enabled(bool on);
 
 /** Drop every memoized cost result. */
 void clear_cost_sim_cache();

@@ -229,7 +229,12 @@ sandbox_call(void (*entry)(void**), const ProcPtr& proc,
     if (pid == 0) {
         // Child. Only async-signal-safe-ish work from here: apply the
         // rlimits, run the kernel, publish the timing, _exit. Never
-        // unwind C++ state shared with the parent.
+        // unwind C++ state shared with the parent. A crash must kill
+        // the child with its own signal for the parent to classify it,
+        // even if the host process (a sanitizer runtime, a crash
+        // reporter) installed handlers the child inherited.
+        for (int sig : {SIGSEGV, SIGFPE, SIGILL, SIGBUS})
+            signal(sig, SIG_DFL);
         if (limits.cpu_seconds > 0) {
             struct rlimit rl;
             rl.rlim_cur = static_cast<rlim_t>(limits.cpu_seconds);

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+
 #include "src/analysis/effects.h"
 #include "src/frontend/parser.h"
 #include "src/ir/builder.h"
@@ -187,6 +191,41 @@ def foo(n: size, x: f32[n + 1] @ DRAM):
     Context ctx = Context::at(p, {{PathLabel::Body, 0}});
     std::string why;
     EXPECT_FALSE(loop_iterations_commute(ctx, p->body_stmts()[0], &why));
+}
+
+TEST(Effects, LoopConflictsReportEachUnorderedPairOnce)
+{
+    // The pair loop visits (write t, read t) and (read t, write t); the
+    // dedup key used to hold references into two destroyed temporaries.
+    // The names are long enough that the rendered accesses live on the
+    // heap, where ASan reports the use after free.
+    ProcPtr p = parse_proc(R"(
+def foo(n: size, samples: f32[n + 1] @ DRAM):
+    carried_total: f32 @ DRAM
+    for i in seq(0, n):
+        carried_total = samples[i + 1]
+        samples[i] = carried_total
+)");
+    Context ctx = Context::at(p, {{PathLabel::Body, 1}});
+    std::vector<LoopConflict> conflicts;
+    ASSERT_TRUE(loop_conflicts(ctx, p->body_stmts()[1],
+                               /*reductions_ok=*/false, &conflicts));
+    std::set<std::pair<std::string, std::string>> pairs;
+    for (const LoopConflict& c : conflicts) {
+        std::string a = describe_access(c.a);
+        std::string b = describe_access(c.b);
+        EXPECT_NE(c.detail.find(a), std::string::npos) << c.detail;
+        EXPECT_NE(c.detail.find(b), std::string::npos) << c.detail;
+        auto key = a < b ? std::make_pair(a, b) : std::make_pair(b, a);
+        EXPECT_TRUE(pairs.insert(key).second)
+            << "reported twice: " << c.detail;
+    }
+    std::set<std::pair<std::string, std::string>> want = {
+        {"write carried_total", "write carried_total"},
+        {"read carried_total", "write carried_total"},
+        {"read samples[i + 1]", "write samples[i]"},
+    };
+    EXPECT_EQ(pairs, want);
 }
 
 TEST(Effects, Idempotence)

@@ -154,5 +154,245 @@ TEST(CostSim, DispatchOverheadOnlyMattersWhenSmall)
     EXPECT_LT(big_ratio, 1.01);
 }
 
+// -- Cost-mode divergences from the reference interpreter ---------------
+//
+// The cost simulator and the interpreter share one IR walker but not its
+// value semantics (DESIGN.md §11). Each test below is a small proc whose
+// counts change if the cost policy took the interpreter's behaviour for
+// one divergence.
+
+CostConfig
+cold()
+{
+    CostConfig c;
+    c.warm = false;
+    return c;
+}
+
+TEST(CostSimDivergence, AndOrEvaluateBothSides)
+{
+    // Short-circuiting would skip both right-hand DRAM reads.
+    ProcPtr p = parse_proc(R"(
+def f(n: size, x: f32[4] @ DRAM):
+    if n > 100 and x[0] > 0.0:
+        pass
+    if n < 100 or x[1] > 0.0:
+        pass
+)");
+    CostResult r = simulate_cost_named(p, {{"n", 1}}, cold());
+    EXPECT_EQ(r.dram_accesses, 2);
+}
+
+TEST(CostSimDivergence, DataReadsYieldZero)
+{
+    // x[0] holds 1.0 after the first statement, but a cost-mode read is
+    // 0, so the data-dependent branch takes the (empty) else side.
+    ProcPtr p = parse_proc(R"(
+def f(x: f32[4] @ DRAM, y: f32[4] @ DRAM):
+    x[0] = 1.0
+    if x[0] > 0.5:
+        y[0] = 1.0
+        y[1] = 1.0
+)");
+    CostResult r = simulate_cost_named(p, {}, cold());
+    EXPECT_EQ(r.dram_accesses, 2);  // the write and the condition read
+}
+
+TEST(CostSimDivergence, OnlyDramReadsAreCharged)
+{
+    ProcPtr p = parse_proc(R"(
+def f(x: f32[8] @ DRAM):
+    t: f32[8] @ AVX2
+    for i in seq(0, 8):
+        x[i] = t[i]
+)");
+    CostResult r = simulate_cost_named(p, {}, cold());
+    EXPECT_EQ(r.dram_accesses, 8);  // the DRAM writes only
+}
+
+TEST(CostSimDivergence, ScalarWritesAreNotTracked)
+{
+    // t is declared in DRAM, but scalars live in registers.
+    ProcPtr p = parse_proc(R"(
+def f(n: size, x: f32[n] @ DRAM):
+    t: f32 @ DRAM
+    for i in seq(0, n):
+        t = x[i]
+        t += x[i]
+        x[i] = t
+)");
+    CostResult r = simulate_cost_named(p, {{"n", 8}}, cold());
+    EXPECT_EQ(r.dram_accesses, 3 * 8);
+}
+
+TEST(CostSimDivergence, ReduceChargesOneWriteTouch)
+{
+    // A read-modify-write would charge y[0] twice per iteration.
+    ProcPtr p = parse_proc(R"(
+def f(n: size, x: f32[n] @ DRAM, y: f32[1] @ DRAM):
+    for i in seq(0, n):
+        y[0] += x[i]
+)");
+    CostResult r = simulate_cost_named(p, {{"n", 16}}, cold());
+    EXPECT_EQ(r.dram_accesses, 2 * 16);
+}
+
+TEST(CostSimDivergence, FloatDivisionByZeroYieldsZero)
+{
+    // IEEE division gives +inf > 0.5; cost mode gives 0.
+    ProcPtr p = parse_proc(R"(
+def f(a: f32, b: f32, x: f32[4] @ DRAM):
+    if a / b > 0.5:
+        x[0] = 1.0
+)");
+    auto run = [&](double b) {
+        return simulate_cost(p, {CostArg::make_scalar(1.0),
+                                 CostArg::make_scalar(b)},
+                             cold());
+    };
+    EXPECT_EQ(run(0.0).dram_accesses, 0);
+    EXPECT_EQ(run(1.0).dram_accesses, 1);
+}
+
+TEST(CostSimDivergence, FloatArithmeticIsNotRoundedToF32)
+{
+    // In f32, 1 + 1e-12 rounds to 1 and the branch is not taken.
+    ProcPtr p = parse_proc(R"(
+def f(a: f32, b: f32, x: f32[4] @ DRAM):
+    if a + b > 1.0:
+        x[0] = 1.0
+)");
+    CostResult r = simulate_cost(
+        p, {CostArg::make_scalar(1.0), CostArg::make_scalar(1e-12)}, cold());
+    EXPECT_EQ(r.dram_accesses, 1);
+}
+
+TEST(CostSimDivergence, ExternsEvaluateArgumentsAndReturnZero)
+{
+    // relu(1.0) is 1.0 > 0.5 for the interpreter; 0 here. The second
+    // extern's argument read is still charged.
+    ProcPtr p = parse_proc(R"(
+def f(a: f32, x: f32[4] @ DRAM):
+    if relu(a) > 0.5:
+        x[0] = 1.0
+    x[1] = relu(x[2])
+)");
+    CostResult r =
+        simulate_cost(p, {CostArg::make_scalar(1.0)}, cold());
+    EXPECT_EQ(r.dram_accesses, 2);
+}
+
+TEST(CostSimDivergence, WindowsAndIndicesAreUnchecked)
+{
+    // The interpreter throws on the out-of-range window and index; the
+    // cost model prices them.
+    ProcPtr g = parse_proc(R"(
+def g(dst: [f32][2] @ DRAM):
+    dst[0] = 1.0
+)");
+    ProcPtr p = parse_proc(R"(
+def f(n: size, x: f32[n] @ DRAM):
+    g(x[6:8])
+    x[n] = 1.0
+)",
+                           {g});
+    CostResult r;
+    ASSERT_NO_THROW(r = simulate_cost_named(p, {{"n", 4}}, cold()));
+    EXPECT_EQ(r.dram_accesses, 2);
+}
+
+TEST(CostSimDivergence, InvertedWindowIsNotClamped)
+{
+    // x[40:1] spans -39 elements. Unclamped, the DMA-style footprint is
+    // an empty byte range: one charged access, no line touched. Clamped
+    // to an empty window at x[40] it would touch (and miss) one line.
+    ProcPtr body = parse_proc(R"(
+def ld(src: [f32][1] @ DRAM):
+    pass
+)");
+    InstrInfo info;
+    info.cycles = 2.0;
+    info.instr_class = "load";
+    ProcPtr ld = Proc::make("ld", body->args(), {}, body->body_stmts(), info);
+    ProcPtr p = parse_proc(R"(
+def f(x: f32[64] @ DRAM):
+    ld(x[40:1])
+)",
+                           {ld});
+    CostResult r;
+    ASSERT_NO_THROW(r = simulate_cost_named(p, {}, cold()));
+    EXPECT_EQ(r.instr_calls, 1);
+    EXPECT_EQ(r.dram_accesses, 1);
+    EXPECT_EQ(r.l1_misses, 0);
+    EXPECT_EQ(r.cycles, 2.5);
+}
+
+TEST(CostSimDivergence, ScalarCallArgumentsAreNotRounded)
+{
+    // Rounded to the f32 formal, 1 + 1e-12 is 1 and the branch is dead.
+    ProcPtr g = parse_proc(R"(
+def g(a: f32, y: f32[4] @ DRAM):
+    if a > 1.0:
+        y[0] = 1.0
+)");
+    ProcPtr p = parse_proc(R"(
+def f(b: f64, x: f32[4] @ DRAM):
+    g(b, x)
+)",
+                           {g});
+    CostResult r =
+        simulate_cost(p, {CostArg::make_scalar(1.0 + 1e-12)}, cold());
+    EXPECT_EQ(r.dram_accesses, 1);
+}
+
+TEST(CostSimDivergence, BlocksDoNotScopeNames)
+{
+    // The scalar x declared in the if body stays bound after it, so the
+    // final write goes to an untracked scalar, not to the DRAM argument.
+    ProcPtr p = parse_proc(R"(
+def f(n: size, x: f32[4] @ DRAM):
+    if n > 0:
+        x: f32
+        x = 1.0
+    x[0] = 1.0
+)");
+    CostResult r = simulate_cost_named(p, {{"n", 1}}, cold());
+    EXPECT_EQ(r.dram_accesses, 0);
+}
+
+TEST(CostSimDivergence, AssertionsAreNotChecked)
+{
+    ProcPtr p = parse_proc(R"(
+def f(n: size, x: f32[n] @ DRAM):
+    assert n > 100
+    x[0] = 1.0
+)");
+    CostResult r;
+    ASSERT_NO_THROW(r = simulate_cost_named(p, {{"n", 4}}, cold()));
+    EXPECT_EQ(r.dram_accesses, 1);
+}
+
+TEST(CostSimDivergence, WarmRunsTheProcTwice)
+{
+    // The first run warms the caches and leaves configuration state
+    // behind; only the second is reported.
+    ProcPtr p = parse_proc(R"(
+def f(x: f32[4] @ DRAM, y: f32[4] @ DRAM):
+    y[0] = 1.0
+    if cfg.done == 0.0:
+        x[0] = 1.0
+    cfg.done = 1.0
+)");
+    CostConfig warm;
+    warm.warm = true;
+    CostResult c = simulate_cost_named(p, {}, cold());
+    CostResult w = simulate_cost_named(p, {}, warm);
+    EXPECT_EQ(c.dram_accesses, 2);
+    EXPECT_EQ(c.l1_misses, 2);
+    EXPECT_EQ(w.dram_accesses, 1);
+    EXPECT_EQ(w.l1_misses, 0);
+    EXPECT_EQ(w.config_writes, 1);
+}
+
 }  // namespace
 }  // namespace exo2

@@ -63,6 +63,22 @@ operator new[](size_t sz)
     return operator new(sz);
 }
 
+// The nothrow forms must come from the same allocator as the deletes
+// below (std::stable_sort's temporary buffer uses them).
+void*
+operator new(size_t sz, const std::nothrow_t&) noexcept
+{
+    if (g_count_allocs.load(std::memory_order_relaxed))
+        g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(sz ? sz : 1);
+}
+
+void*
+operator new[](size_t sz, const std::nothrow_t& nt) noexcept
+{
+    return operator new(sz, nt);
+}
+
 void
 operator delete(void* p) noexcept
 {

@@ -176,7 +176,6 @@ def f(n: size, x: f32[n] @ DRAM):
     for i in seq(0, n):
         x[i] = x[i] + 1.0
 )");
-    set_cost_sim_cache_enabled(true);
     clear_cost_sim_cache();
     reset_cost_sim_cache_stats();
 
@@ -206,11 +205,15 @@ def f(n: size, x: f32[n] @ DRAM):
     simulate_cost_named(q, {{"n", 64}});
     EXPECT_EQ(cost_sim_cache_stats().hits, 2u);
 
-    // Disabling bypasses and clears.
-    set_cost_sim_cache_enabled(false);
-    simulate_cost_named(p, {{"n", 64}});
-    EXPECT_EQ(cost_sim_cache_stats().hits, 2u);
-    set_cost_sim_cache_enabled(true);
+    // Clearing drops every entry: the same query simulates again, with
+    // the same result.
+    clear_cost_sim_cache();
+    CostResult r3 = simulate_cost_named(p, {{"n", 64}});
+    CostSimCacheStats s4 = cost_sim_cache_stats();
+    EXPECT_EQ(s4.hits, 2u);
+    EXPECT_EQ(s4.misses, 4u);
+    EXPECT_EQ(r3.cycles, r1.cycles);
+    EXPECT_EQ(r3.dram_accesses, r1.dram_accesses);
 }
 
 // -- Satellite: tuner determinism ---------------------------------------
