@@ -64,18 +64,12 @@ struct Case
 using bench::env_str;
 using bench::json_escape;
 
-/** GFLOP/s of one build (CompiledProc::time_per_call calibrates an
- *  iteration count targeting ~150 ms of kernel time). */
+/** GFLOP/s of `p` built with the environment's ISA. */
 double
 measure_gflops(const ProcPtr& p, const SizeEnv& env, double flops)
 {
-    CompiledProc cp(p);
-    OracleInputs in = verify::make_inputs(p, env, 4242);
-    for (auto& a : in.args) {
-        if (a.kind == RunArg::Kind::Scalar)
-            a.scalar = 1.0;  // keep iterated kernels out of denormals
-    }
-    return flops / std::max(cp.time_per_call(in.args), 1e-12) / 1e9;
+    return bench::measure_gflops(CompiledProc(p),
+                                 bench::timing_inputs(p, env), flops);
 }
 
 /** One schedule script as a single line. */

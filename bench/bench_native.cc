@@ -6,14 +6,18 @@
  * inputs, and record achieved GFLOP/s into BENCH_native_gflops.json.
  * This is the wall-clock counterpart of the cost-simulator figures:
  * it shows the instruction-library lowering reaching real vector
- * units, not just modeled ones.
+ * units, not just modeled ones. Each kernel's native build (codegen,
+ * compile, dlopen) is also timed, median of 5 builds, since every
+ * tri-oracle check, tuner winner and cold daemon tune pays for one.
  *
  * Usage: bench_native [output.json]
  * (exits 0 with a "skipped" record on CPUs without AVX2)
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -46,14 +50,24 @@ struct Case
 };
 
 using bench::env_str;
+using bench::measure_gflops;
 
-/** GFLOP/s of one build (CompiledProc::time_per_call calibrates an
- *  iteration count targeting ~150 ms of kernel time). */
-double
-measure_gflops(const CompiledProc& cp, const OracleInputs& in,
-               double flops)
+constexpr int kBuilds = 5;
+
+/** Wall-clock milliseconds of `kBuilds` native builds of `p`, sorted. */
+std::vector<double>
+build_ms(const ProcPtr& p, NativeIsa isa)
 {
-    return flops / std::max(cp.time_per_call(in.args), 1e-12) / 1e9;
+    std::vector<double> ms;
+    for (int i = 0; i < kBuilds; i++) {
+        auto t0 = std::chrono::steady_clock::now();
+        CompiledProc cp(p, isa);
+        auto t1 = std::chrono::steady_clock::now();
+        ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0)
+                         .count());
+    }
+    std::sort(ms.begin(), ms.end());
+    return ms;
 }
 
 }  // namespace
@@ -64,6 +78,8 @@ main(int argc, char** argv)
     std::string out_path =
         argc > 1 ? argv[1] : "BENCH_native_gflops.json";
     std::ostringstream out;
+    // Build times measure the compiler, not a compile-cache hit.
+    unsetenv("EXO2_CACHE_DIR");
 
     if (!verify::cjit_cpu_supports(NativeIsa::Avx2)) {
         bench::write_file_atomic(
@@ -118,16 +134,8 @@ main(int argc, char** argv)
     bool first = true;
     int wins = 0;
     for (const Case& c : cases) {
-        OracleInputs inputs =
-            verify::make_inputs(c.scheduled, c.env, 4242);
-        // Iterated in-place kernels (dscal: x *= a every call) drive
-        // values into denormals when |a| < 1, and denormal arithmetic
-        // is orders of magnitude slower than the vector units being
-        // measured. Pin scalar args to 1.0 so magnitudes stay put.
-        for (auto& a : inputs.args) {
-            if (a.kind == RunArg::Kind::Scalar)
-                a.scalar = 1.0;
-        }
+        OracleInputs inputs = bench::timing_inputs(c.scheduled, c.env);
+        std::vector<double> bms = build_ms(c.scheduled, isa);
         CompiledProc scalar(c.scheduled, NativeIsa::Scalar);
         CompiledProc native(c.scheduled, isa);
         if (!native.is_native()) {
@@ -143,15 +151,18 @@ main(int argc, char** argv)
         std::cerr.precision(2);
         std::cerr << c.name << " (" << env_str(c.env) << "): scalar "
                   << gs << " GFLOP/s, native " << gn << " GFLOP/s ("
-                  << speedup << "x)\n";
-        char buf[512];
+                  << speedup << "x), native build " << bms[kBuilds / 2]
+                  << " ms\n";
+        char buf[640];
         std::snprintf(buf, sizeof(buf),
                       "    {\"name\": \"%s\", \"sizes\": \"%s\", "
                       "\"flops_per_call\": %.0f, "
                       "\"scalar_gflops\": %.3f, \"native_gflops\": %.3f, "
-                      "\"speedup\": %.2f}",
+                      "\"speedup\": %.2f, \"build_ms_median\": %.1f, "
+                      "\"build_ms_min\": %.1f, \"build_ms_max\": %.1f}",
                       c.name.c_str(), env_str(c.env).c_str(), c.flops,
-                      gs, gn, speedup);
+                      gs, gn, speedup, bms[kBuilds / 2], bms.front(),
+                      bms.back());
         out << (first ? "" : ",\n") << buf;
         first = false;
     }

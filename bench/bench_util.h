@@ -5,15 +5,18 @@
  * @file
  * Shared benchmark-harness utilities: heatmap printing in the paper's
  * format (each cell a runtime ratio "reference / Exo 2"; higher is
- * better for Exo 2) and cost-simulation wrappers.
+ * better for Exo 2), cost-simulation wrappers, and native GFLOP/s
+ * measurement through the in-process JIT.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "src/machine/cost_sim.h"
 #include "src/util/file_atomic.h"
+#include "src/verify/verify.h"
 
 namespace exo2 {
 namespace bench {
@@ -44,6 +47,30 @@ cycles(const ProcPtr& p, const std::map<std::string, int64_t>& sizes,
        const CostConfig& cfg = CostConfig())
 {
     return simulate_cost_named(p, sizes, cfg).cycles;
+}
+
+/** Seeded inputs for timing `p` at `env`. Scalar arguments are pinned
+ *  to 1.0: iterated in-place kernels (dscal: x *= a every call) would
+ *  otherwise drive values into denormals, whose arithmetic is orders
+ *  of magnitude slower than the vector units being measured. */
+inline verify::OracleInputs
+timing_inputs(const ProcPtr& p, const std::map<std::string, int64_t>& env)
+{
+    verify::OracleInputs in = verify::make_inputs(p, env, 4242);
+    for (auto& a : in.args) {
+        if (a.kind == RunArg::Kind::Scalar)
+            a.scalar = 1.0;
+    }
+    return in;
+}
+
+/** GFLOP/s of the build `cp` on `in` (CompiledProc::time_per_call
+ *  calibrates an iteration count targeting ~150 ms of kernel time). */
+inline double
+measure_gflops(const verify::CompiledProc& cp, const verify::OracleInputs& in,
+               double flops)
+{
+    return flops / std::max(cp.time_per_call(in.args), 1e-12) / 1e9;
 }
 
 /** Render a size environment as `"M=192, N=192"`. */

@@ -18,8 +18,9 @@
  *
  * Knobs consolidated here: EXO2_CJIT_TIMEOUT, EXO2_SANDBOX_WALL,
  * EXO2_SANDBOX, EXO2_TUNE_* (beam/rounds/restarts/topk/seed/verbose),
- * EXO2_CACHE_DIR, and the EXO2_SERVE_* family (workers, queue,
- * deadline). EXO2_FAULTS keeps its own structured parser
+ * EXO2_CACHE_DIR, EXO2_VERBOSE_DOWNGRADES, the JIT's CC, and the
+ * EXO2_SERVE_* family (workers, queue, deadline). EXO2_FAULTS keeps
+ * its own structured parser
  * (sandbox.h: parse_fault_spec) and EXO2_NATIVE_ISA its enum
  * validation (cjit.h), both already strict.
  */

@@ -19,6 +19,7 @@
 #include "src/ir/errors.h"
 #include "src/obs/trace.h"
 #include "src/util/env.h"
+#include "src/util/file_atomic.h"
 #include "src/verify/marshal.h"
 
 namespace exo2 {
@@ -107,7 +108,7 @@ record_downgrade(const std::string& proc_name, NativeIsa requested,
         std::lock_guard<std::mutex> lk(g_downgrade_mu);
         g_downgrades.push_back(d);
     }
-    if (std::getenv("EXO2_VERBOSE_DOWNGRADES")) {
+    if (util::env_flag("EXO2_VERBOSE_DOWNGRADES", false)) {
         std::fprintf(stderr,
                      "exo2: ISA downgrade for '%s': %s -> %s (%s)\n",
                      proc_name.c_str(), native_isa_name(requested),
@@ -181,6 +182,71 @@ cjit_env_isa()
     }
     throw VerifyError("unrecognized EXO2_NATIVE_ISA value '" + v +
                       "' (expected scalar, avx2, avx512, or auto)");
+}
+
+// ---------------------------------------------------------------------------
+// Compiler command
+// ---------------------------------------------------------------------------
+
+// Both come from the root CMakeLists.txt, the one place the flag list
+// is written down (the precompiled headers are built with it too).
+#if !defined(EXO2_CJIT_FLAGS) || !defined(EXO2_PCH_DIR)
+#error "EXO2_CJIT_FLAGS and EXO2_PCH_DIR come from the root CMakeLists.txt"
+#endif
+
+std::string
+cjit_cc()
+{
+    return util::env_string("CC", "cc");
+}
+
+std::vector<std::string>
+cjit_flags(NativeIsa isa)
+{
+    std::vector<std::string> flags;
+    std::istringstream base(EXO2_CJIT_FLAGS);
+    for (std::string f; base >> f;)
+        flags.push_back(f);
+    if (isa == NativeIsa::Avx512)
+        flags.push_back("-mavx512f");
+    if (isa != NativeIsa::Scalar) {
+        flags.push_back("-mavx2");
+        flags.push_back("-mfma");
+    }
+    return flags;
+}
+
+std::string
+cjit_pch_header(NativeIsa isa, const std::string& cc)
+{
+    if (isa == NativeIsa::Scalar)
+        return "";
+    std::string dir = std::string(EXO2_PCH_DIR) + "/" + native_isa_name(isa);
+    std::string header = dir + "/exo2_native.h";
+    std::string stamp;
+    if (access((header + ".gch").c_str(), R_OK) != 0 ||
+        !util::read_file_text(dir + "/exo2_native.stamp", &stamp) ||
+        stamp != cache::compiler_identity(cc))
+        return "";
+    return header;
+}
+
+cache::CompileKey
+cjit_compile_key(const std::vector<std::string>& argv, const std::string& src)
+{
+    cache::CompileKey key;
+    key.source_digest = cache::fnv1a64(src);
+    for (size_t i = 1; i + 3 < argv.size(); i++) {
+        if (argv[i] == "-include") {
+            i++;
+            continue;
+        }
+        if (!key.isa_flags.empty())
+            key.isa_flags += ' ';
+        key.isa_flags += argv[i];
+    }
+    key.compiler_id = cache::compiler_identity(argv.at(0));
+    return key;
 }
 
 namespace {
@@ -351,8 +417,7 @@ CompiledProc::CompiledProc(const ProcPtr& p, NativeIsa isa) : proc_(p)
     std::string so_path = dir_.path() + "/kernel.so";
     std::string err_path = dir_.path() + "/cc.err";
 
-    const char* cc_env = std::getenv("CC");
-    std::string cc = cc_env && *cc_env ? cc_env : "cc";
+    std::string cc = cjit_cc();
 
     // Compile, degrading down the ISA chain on failure: a native
     // (intrinsics) unit whose compile fails — unsupported -m flags,
@@ -419,20 +484,19 @@ CompiledProc::CompiledProc(const ProcPtr& p, NativeIsa isa) : proc_(p)
             out << src_;
         }
 
-        std::vector<std::string> argv = {
-            cc,   "-O1",          "-fPIC",
-            "-shared",            "-fno-builtin",
-            "-ffp-contract=off",  "-fno-math-errno",
-            "-w"};
-        if (native_) {
-            if (required >= 64) {
-                argv.push_back("-mavx512f");
-                argv.push_back("-mavx2");
-                argv.push_back("-mfma");
-            } else {
-                argv.push_back("-mavx2");
-                argv.push_back("-mfma");
-            }
+        // The -m flags follow the widest register the unit uses, which
+        // may be narrower than the ISA ceiling.
+        NativeIsa flag_set = !native_        ? NativeIsa::Scalar
+                             : required >= 64 ? NativeIsa::Avx512
+                                              : NativeIsa::Avx2;
+        std::vector<std::string> argv = {cc};
+        for (std::string& f : cjit_flags(flag_set))
+            argv.push_back(std::move(f));
+        std::string pch = cjit_pch_header(flag_set, cc);
+        pch_ = !pch.empty();
+        if (pch_) {
+            argv.push_back("-include");
+            argv.push_back(pch);
         }
         argv.push_back("-o");
         argv.push_back(so_path);
@@ -442,15 +506,8 @@ CompiledProc::CompiledProc(const ProcPtr& p, NativeIsa isa) : proc_(p)
         // exact generated source (after any fault planting), the full
         // compiler flag set, and the compiler's identity.
         cache::CompileKey ckey;
-        if (ccache.enabled()) {
-            ckey.source_digest = cache::fnv1a64(src_);
-            for (size_t i = 1; i + 3 < argv.size(); i++) {
-                if (i > 1)
-                    ckey.isa_flags += ' ';
-                ckey.isa_flags += argv[i];
-            }
-            ckey.compiler_id = cache::compiler_identity(cc);
-        }
+        if (ccache.enabled())
+            ckey = cjit_compile_key(argv, src_);
 
         from_cache_ = false;
         std::string load_path = so_path;
@@ -474,7 +531,8 @@ CompiledProc::CompiledProc(const ProcPtr& p, NativeIsa isa) : proc_(p)
                 co.fault.detail = "injected native-ISA compile failure";
             } else {
                 EXO2_SPAN("cjit.compile",
-                          {{"isa", native_isa_name(isa_)}});
+                          {{"isa", native_isa_name(isa_)},
+                           {"pch", pch_ ? 1 : 0}});
                 co = compile_unit(argv, err_path);
             }
             if (!co.ok) {

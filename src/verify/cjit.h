@@ -20,7 +20,9 @@
  * timeout (`EXO2_CJIT_TIMEOUT` seconds, default 60), full wait-status
  * decoding, and bounded retry with backoff for transient resource
  * failures. A failed compile throws FaultError carrying the compiler's
- * stderr and the generated source.
+ * stderr and the generated source. Native units compile with
+ * `-include` of an intrinsics header the build precompiled for the
+ * compiler (`cjit_pch_header`), which skips re-parsing immintrin.h.
  *
  * Native SIMD (DESIGN.md §5): the ISA the generated C may target is
  * chosen per CompiledProc. The default comes from `EXO2_NATIVE_ISA`
@@ -42,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cache/cache.h"
 #include "src/interp/interp.h"
 #include "src/ir/errors.h"
 #include "src/ir/proc.h"
@@ -73,6 +76,28 @@ NativeIsa cjit_env_isa();
 
 /** Whether the running CPU can execute code for `isa`. */
 bool cjit_cpu_supports(NativeIsa isa);
+
+/** The C compiler cjit runs: `$CC`, else `cc`. */
+std::string cjit_cc();
+
+/** The flags cjit compiles a unit with, in order: the base list
+ *  (EXO2_CJIT_FLAGS in the root CMakeLists.txt), then the -m flags of
+ *  `isa` ("-mavx2 -mfma", or "-mavx512f -mavx2 -mfma"; none for
+ *  Scalar). */
+std::vector<std::string> cjit_flags(NativeIsa isa);
+
+/** The precompiled intrinsics header for the `isa` flag set, as the
+ *  path to pass after `-include`; "" for Scalar, when the build made
+ *  none, or when its stamp differs from cache::compiler_identity(cc)
+ *  (DESIGN.md §7). Never builds one. */
+std::string cjit_pch_header(NativeIsa isa, const std::string& cc);
+
+/** The compile-cache key of the compiler invocation `argv` (compiler,
+ *  flags, then `-o <so> <c>`) for the generated source `src`. An
+ *  `-include` pair is left out: the precompiled header changes how
+ *  long the compile takes, not the object. */
+cache::CompileKey cjit_compile_key(const std::vector<std::string>& argv,
+                                   const std::string& src);
 
 /** One recorded fallback down the ISA degradation chain. */
 struct IsaDowngrade
@@ -200,6 +225,10 @@ class CompiledProc
      *  false when EXO2_CACHE_DIR is unset. */
     bool loaded_from_cache() const { return from_cache_; }
 
+    /** Whether the unit's compile command carried `-include` of the
+     *  precompiled intrinsics header (see cjit_pch_header). */
+    bool used_pch() const { return pch_; }
+
   private:
     ProcPtr proc_;
     std::string src_;
@@ -207,6 +236,7 @@ class CompiledProc
     bool native_ = false;
     NativeIsa isa_ = NativeIsa::Scalar;
     bool from_cache_ = false;
+    bool pch_ = false;
     void* handle_ = nullptr;
     void (*entry_)(void**) = nullptr;
 };

@@ -498,6 +498,30 @@ TEST_F(CacheTest, CompileCacheRoundTripAndCorruptionRecovery)
     EXPECT_TRUE(cc.probe(k).has_value());
 }
 
+TEST_F(CacheTest, CompileKeyIsTheSameWithAndWithoutThePch)
+{
+    // The precompiled header changes compile time, not the object, so
+    // a unit built with it and one built without share a cache entry.
+    std::vector<std::string> plain = {"cc"};
+    for (const std::string& f : verify::cjit_flags(verify::NativeIsa::Avx2))
+        plain.push_back(f);
+    std::vector<std::string> with_pch = plain;
+    with_pch.insert(with_pch.end(),
+                    {"-include", "/pch/avx2/exo2_native.h"});
+    for (auto* argv : {&plain, &with_pch})
+        argv->insert(argv->end(), {"-o", "kernel.so", "kernel.c"});
+
+    cache::CompileKey a = verify::cjit_compile_key(plain, "void f(void);");
+    cache::CompileKey b = verify::cjit_compile_key(with_pch, "void f(void);");
+    EXPECT_EQ(a.isa_flags, b.isa_flags);
+    EXPECT_EQ(a.hash(), b.hash());
+    // The flag field is spelled as before the PCH existed, so compile
+    // caches written then stay warm.
+    EXPECT_EQ(a.isa_flags, "-O1 -fPIC -shared -fno-builtin "
+                           "-ffp-contract=off -fno-math-errno -w "
+                           "-mavx2 -mfma");
+}
+
 // ---------------------------------------------------------------------------
 // Fault-spec parser: new cache/service sites, unknown-key rejection
 // ---------------------------------------------------------------------------

@@ -18,20 +18,33 @@
  *     (the native modes skip on CPUs without the ISA).
  *  4. End-to-end: library-scheduled kernels compiled with intrinsics
  *     agree with the interpreter.
+ *  5. The precompiled intrinsics header (DESIGN.md §7): GCC loads it
+ *     under cjit's flags, the object is byte-identical with and without
+ *     it, and a compiler it was not built by never gets it.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/cache/cache.h"
 #include "src/codegen/c_codegen.h"
 #include "src/frontend/parser.h"
 #include "src/ir/builder.h"
 #include "src/kernels/blas.h"
+#include "src/kernels/image.h"
 #include "src/machine/machine.h"
 #include "src/sched/blas.h"
+#include "src/sched/gemm.h"
+#include "src/sched/halide.h"
+#include "src/util/env.h"
 #include "src/verify/verify.h"
 
 namespace exo2 {
@@ -43,29 +56,38 @@ using verify::NativeIsa;
 using verify::SizeEnv;
 using verify::tri_oracle_check;
 
-/** Scoped override of EXO2_NATIVE_ISA (restored on destruction). */
-class ScopedIsaEnv
+/** Scoped override of one environment variable (restored on
+ *  destruction). */
+class ScopedEnv
 {
   public:
-    explicit ScopedIsaEnv(const char* value)
+    ScopedEnv(const char* name, const char* value) : name_(name)
     {
-        const char* old = std::getenv("EXO2_NATIVE_ISA");
+        const char* old = std::getenv(name);
         had_old_ = old != nullptr;
         if (had_old_)
             old_ = old;
-        setenv("EXO2_NATIVE_ISA", value, 1);
+        setenv(name, value, 1);
     }
-    ~ScopedIsaEnv()
+    ~ScopedEnv()
     {
         if (had_old_)
-            setenv("EXO2_NATIVE_ISA", old_.c_str(), 1);
+            setenv(name_, old_.c_str(), 1);
         else
-            unsetenv("EXO2_NATIVE_ISA");
+            unsetenv(name_);
     }
 
   private:
+    const char* name_;
     bool had_old_ = false;
     std::string old_;
+};
+
+/** Scoped override of EXO2_NATIVE_ISA. */
+struct ScopedIsaEnv : ScopedEnv
+{
+    explicit ScopedIsaEnv(const char* value)
+        : ScopedEnv("EXO2_NATIVE_ISA", value) {}
 };
 
 ExprPtr
@@ -399,6 +421,164 @@ TEST(NativeEndToEnd, CompiledProcReportsNativeMode)
     CompiledProc native(opt, NativeIsa::Avx2);
     EXPECT_TRUE(native.is_native());
     EXPECT_NE(native.source().find("_mm256_fmadd_ps("), std::string::npos);
+}
+
+// ---- 5. Precompiled intrinsics header ------------------------------------
+
+/** A fresh directory under the test temp dir, removed on destruction. */
+verify::TempDir
+fresh_dir()
+{
+    std::string tmpl = ::testing::TempDir() + "exo2_pch_XXXXXX";
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    const char* d = mkdtemp(buf.data());
+    EXPECT_NE(d, nullptr);
+    return verify::TempDir(d ? d : "");
+}
+
+std::string
+read_bytes(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/** The `#include` lines of a C text, in order. */
+std::vector<std::string>
+include_lines(const std::string& text)
+{
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("#include", 0) == 0)
+            out.push_back(line);
+    }
+    return out;
+}
+
+/** saxpy scheduled for `m`, the smallest native unit. */
+ProcPtr
+scheduled_saxpy(const Machine& m)
+{
+    const auto& k = kernels::find_kernel("saxpy");
+    return sched::optimize_level_1(k.proc, k.proc->find_loop(k.main_loop),
+                                   k.prec, m, 2);
+}
+
+/** Compile `c_path` to `so_path` the way cjit does for `flag_set`, with
+ *  `extra` flags before the outputs; returns the compiler's output. */
+std::string
+cjit_compile(NativeIsa flag_set, const std::vector<std::string>& extra,
+             const std::string& so_path, const std::string& c_path)
+{
+    std::vector<std::string> argv = {verify::cjit_cc()};
+    for (const std::string& f : verify::cjit_flags(flag_set))
+        argv.push_back(f);
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    argv.insert(argv.end(), {"-o", so_path, c_path});
+    std::string out_path = so_path + ".out";
+    verify::SpawnResult r = verify::run_command(argv, out_path, 120);
+    std::string out = read_bytes(out_path);
+    EXPECT_TRUE(r.ok()) << out;
+    return out;
+}
+
+/** The build makes the PCH with the default compiler, so with CC unset
+ *  a missing one is a failure; under another CC the tests skip. */
+#define PCH_OR_SKIP(pch, isa)                                             \
+    std::string pch = verify::cjit_pch_header(isa, verify::cjit_cc());    \
+    if (pch.empty()) {                                                    \
+        ASSERT_NE(util::env_string("CC", ""), "")                         \
+            << "no precompiled header for "                               \
+            << verify::native_isa_name(isa);                              \
+        GTEST_SKIP() << "no precompiled header for CC="                   \
+                     << verify::cjit_cc();                                \
+    }
+
+TEST(NativePch, GccLoadsThePchUnderCjitFlags)
+{
+    verify::TempDir dir = fresh_dir();
+    for (NativeIsa isa : {NativeIsa::Avx2, NativeIsa::Avx512}) {
+        PCH_OR_SKIP(pch, isa);
+        bool wide = isa == NativeIsa::Avx512;
+        CodegenOpts opts;
+        opts.native_vector_bytes = wide ? 64 : 32;
+        std::string c_path = dir.path() + "/kernel.c";
+        std::ofstream(c_path) << codegen_c_unit(
+            scheduled_saxpy(wide ? machine_avx512() : machine_avx2()), opts);
+        // -H lists every header as it is read; a loaded PCH comes first,
+        // marked "!".
+        std::string out = cjit_compile(isa, {"-include", pch, "-H"},
+                                       dir.path() + "/kernel.so", c_path);
+        EXPECT_EQ(out.substr(0, out.find('\n')), "! " + pch + ".gch")
+            << verify::native_isa_name(isa) << ":\n" << out;
+    }
+}
+
+TEST(NativePch, ObjectIsByteIdenticalWithAndWithoutThePch)
+{
+    PCH_OR_SKIP(pch, NativeIsa::Avx2);
+    const Machine& m = machine_avx2();
+    const auto& gemv = kernels::find_kernel("sgemv_n");
+    std::vector<std::pair<std::string, ProcPtr>> units = {
+        {"saxpy", scheduled_saxpy(m)},
+        {"sgemv_n", sched::optimize_level_2_general(
+                        gemv.proc, gemv.proc->find_loop(gemv.main_loop),
+                        gemv.prec, m, 4, 2)},
+        {"sgemm", sched::schedule_sgemm(
+                      sched::sgemm_with_asserts(kernels::sgemm(), m), m)},
+        {"blur", sched::schedule_blur_like_halide(kernels::blur(), m)},
+    };
+    verify::TempDir dir = fresh_dir();
+    std::string c_path = dir.path() + "/kernel.c";
+    std::string with = dir.path() + "/with.so";
+    std::string without = dir.path() + "/without.so";
+    CodegenOpts opts;
+    opts.native_vector_bytes = 32;
+    for (const auto& [name, p] : units) {
+        std::string unit = codegen_c_unit(p, opts);
+        // The header holds exactly the includes the unit starts with.
+        EXPECT_EQ(include_lines(read_bytes(pch)), include_lines(unit))
+            << name;
+        std::ofstream(c_path) << unit;
+        cjit_compile(NativeIsa::Avx2, {"-include", pch}, with, c_path);
+        cjit_compile(NativeIsa::Avx2, {}, without, c_path);
+        std::string a = read_bytes(with);
+        EXPECT_FALSE(a.empty()) << name;
+        EXPECT_TRUE(a == read_bytes(without)) << name << ": objects differ";
+    }
+}
+
+TEST(NativePch, ForeignCompilerBuildsWithoutThePch)
+{
+    if (!cjit_cpu_supports(NativeIsa::Avx2))
+        GTEST_SKIP() << "CPU has no AVX2+FMA";
+    const auto& k = kernels::find_kernel("saxpy");
+    ProcPtr opt = scheduled_saxpy(machine_avx2());
+    std::string cc = verify::cjit_cc();
+    if (util::env_string("CC", "").empty()) {
+        CompiledProc cp(opt, NativeIsa::Avx2);
+        EXPECT_TRUE(cp.used_pch());
+    }
+
+    // Same compiler behind another name: a different identity, so the
+    // PCH stamp does not match and the unit compiles as it did before.
+    verify::TempDir dir = fresh_dir();
+    std::string wrapper = dir.path() + "/cc-wrapper";
+    std::ofstream(wrapper) << "#!/bin/sh\nexec '" << cc << "' \"$@\"\n";
+    ASSERT_EQ(chmod(wrapper.c_str(), 0755), 0);
+    ScopedEnv cc_env("CC", wrapper.c_str());
+    EXPECT_NE(cache::compiler_identity(wrapper),
+              cache::compiler_identity(cc));
+    EXPECT_EQ(verify::cjit_pch_header(NativeIsa::Avx2, wrapper), "");
+
+    CompiledProc cp(opt, NativeIsa::Avx2);
+    EXPECT_TRUE(cp.is_native());
+    EXPECT_FALSE(cp.used_pch());
+    ScopedIsaEnv isa("avx2");
+    auto rep = tri_oracle_check(k.proc, opt, {{"n", 19}}, 4711);
+    EXPECT_TRUE(rep.ok) << rep.detail;
 }
 
 }  // namespace

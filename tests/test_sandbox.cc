@@ -69,6 +69,7 @@ class SandboxTest : public ::testing::Test
         unsetenv("EXO2_FAULTS");
         unsetenv("EXO2_CJIT_TIMEOUT");
         unsetenv("EXO2_SANDBOX_WALL");
+        unsetenv("EXO2_VERBOSE_DOWNGRADES");
         verify::clear_fault_spec();
         verify::clear_isa_downgrades();
         verify::reset_fault_injection_counts();
@@ -363,6 +364,30 @@ TEST_F(SandboxTest, InjectedIsaFailureDegradesToScalar)
     // The degraded scalar build still computes the right answer.
     auto rep = tri_oracle_check(k.proc, opt, {{"n", 19}}, 77);
     EXPECT_TRUE(rep.ok) << rep.detail;
+}
+
+TEST_F(SandboxTest, VerboseDowngradesPrintOnlyWhenEnabled)
+{
+    if (!verify::cjit_cpu_supports(NativeIsa::Avx2))
+        GTEST_SKIP() << "CPU has no AVX2+FMA";
+    const auto& k = kernels::find_kernel("saxpy");
+    ProcPtr opt = sched::optimize_level_1(
+        k.proc, k.proc->find_loop(k.main_loop), k.prec, machine_avx2(),
+        2);
+    FaultSpec s;
+    s.isa_fail = 1.0;
+    // "0" used to print too: the variable was only tested for presence.
+    for (const char* v : {"0", "1"}) {
+        setenv("EXO2_VERBOSE_DOWNGRADES", v, 1);
+        verify::set_fault_spec(s);
+        ::testing::internal::CaptureStderr();
+        { CompiledProc cp(opt, NativeIsa::Avx2); }
+        std::string err = ::testing::internal::GetCapturedStderr();
+        verify::clear_fault_spec();
+        bool printed = err.find("ISA downgrade") != std::string::npos;
+        EXPECT_EQ(printed, std::string(v) == "1")
+            << "EXO2_VERBOSE_DOWNGRADES=" << v << ": " << err;
+    }
 }
 
 TEST_F(SandboxTest, UnsupportedEnvIsaDegradesInsteadOfThrowing)
