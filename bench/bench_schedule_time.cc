@@ -5,7 +5,9 @@
  * under Python + SMT; this implementation's linear-arithmetic checker
  * is documented in DESIGN.md as the substitution. Also covers the
  * cursor-forwarding ablation (DESIGN.md #1): forwarding a cursor
- * across a schedule vs re-resolving it by pattern each step.
+ * across a schedule vs re-resolving it by pattern each step. The
+ * evaluator benchmarks time the IR evaluator (DESIGN.md §11) that the
+ * autotuner scores candidates with and the tri-oracle checks them by.
  */
 
 #include <benchmark/benchmark.h>
@@ -19,12 +21,15 @@
 #include "src/analysis/memo.h"
 #include "src/cursor/accel.h"
 #include "src/ir/builder.h"
+#include "src/interp/interp.h"
 #include "src/ir/interner.h"
 #include "src/kernels/blas.h"
 #include "src/kernels/image.h"
+#include "src/machine/cost_sim.h"
 #include "src/sched/blas.h"
 #include "src/sched/gemm.h"
 #include "src/sched/halide.h"
+#include "src/verify/verify.h"
 
 using namespace exo2;
 using namespace exo2::sched;
@@ -210,6 +215,73 @@ BM_ScheduleBlurNoMemo(benchmark::State& state)
     set_analysis_memo_enabled(true);
 }
 BENCHMARK(BM_ScheduleBlurNoMemo)->Unit(benchmark::kMillisecond);
+
+/** Evaluator corpus: naive and library-scheduled sgemv_n, SGEMM and
+ *  blur at the sizes bench_autotune scores candidates at. */
+struct EvalCase
+{
+    ProcPtr proc;
+    verify::SizeEnv sizes;
+};
+
+static const std::vector<EvalCase>&
+eval_corpus()
+{
+    static const std::vector<EvalCase> cases = [] {
+        const Machine& m = machine_avx2();
+        const auto& gemv = kernels::find_kernel("sgemv_n");
+        verify::SizeEnv gemv_sizes = {{"M", 96}, {"N", 96}};
+        ProcPtr gemm = sgemm_with_asserts(kernels::sgemm(), m);
+        verify::SizeEnv gemm_sizes = {{"M", 48}, {"N", 48}, {"K", 48}};
+        verify::SizeEnv blur_sizes = {{"H", 32}, {"W", 256}};
+        return std::vector<EvalCase>{
+            {gemv.proc, gemv_sizes},
+            {optimize_level_2_general(gemv.proc,
+                                      gemv.proc->find_loop(gemv.main_loop),
+                                      gemv.prec, m, 4, 2),
+             gemv_sizes},
+            {gemm, gemm_sizes},
+            {schedule_sgemm(gemm, m), gemm_sizes},
+            {kernels::blur(), blur_sizes},
+            {schedule_blur_like_halide(kernels::blur(), m), blur_sizes},
+        };
+    }();
+    return cases;
+}
+
+/** Cost simulation of the corpus, as the tuner scores a state: default
+ *  (warm) CostConfig, memo cleared so every call simulates. */
+static void
+BM_SimulateCost(benchmark::State& state)
+{
+    const std::vector<EvalCase>& cases = eval_corpus();
+    for (auto _ : state) {
+        for (const EvalCase& c : cases) {
+            clear_cost_sim_cache();
+            benchmark::DoNotOptimize(
+                simulate_cost_named(c.proc, c.sizes).cycles);
+        }
+    }
+}
+BENCHMARK(BM_SimulateCost)->Unit(benchmark::kMillisecond);
+
+/** Reference interpretation of the corpus on seeded inputs. */
+static void
+BM_InterpRun(benchmark::State& state)
+{
+    const std::vector<EvalCase>& cases = eval_corpus();
+    std::vector<verify::OracleInputs> inputs;
+    for (const EvalCase& c : cases)
+        inputs.push_back(verify::make_inputs(c.proc, c.sizes, 7));
+    for (auto _ : state) {
+        for (size_t i = 0; i < cases.size(); i++) {
+            interp_run(cases[i].proc, inputs[i].args);
+            benchmark::DoNotOptimize(inputs[i].buffers.front()->data());
+        }
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_InterpRun)->Unit(benchmark::kMillisecond);
 
 /**
  * Custom main: always emit machine-readable JSON. Unless the caller

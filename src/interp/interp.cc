@@ -115,34 +115,37 @@ class ValuePolicy : public Walker<ValuePolicy, Buffer*>
     static constexpr bool kCheckAsserts = true;
     static constexpr bool kPriceInstrs = false;
 
-    double load(Frame& f, const View& v, const ExprPtr& e)
+    explicit ValuePolicy(const Proc& p) : Walker(p) {}
+
+    double load(Frame f, const View& v, const LExpr& e)
     {
-        return v.mem->at(checked_flat(v, eval_idx(f, e->idx())));
+        return v.mem->at(checked_offset(f, v, e.kids));
     }
 
-    void store(Frame& f, const View& v, const StmtPtr& s, double x)
+    void store(Frame f, const View& v, const LStmt& s, double x)
     {
-        int64_t flat = checked_flat(v, eval_idx(f, s->idx()));
-        if (s->kind() == StmtKind::Reduce)
+        int64_t flat = checked_offset(f, v, s.kids);
+        if (s.kind == StmtKind::Reduce)
             x += v.mem->at(flat);
         v.mem->set(flat, x);
     }
 
-    void store_scalar(Binding& b, const StmtPtr& s, double x)
+    void store_scalar(Binding& b, const LStmt& s, double x)
     {
         if (b.kind != Binding::Kind::Scalar)
             fail("writing a loop index");
-        if (!s->idx().empty())
+        if (s.kids.count != 0)
             fail("indexing a scalar");
-        if (s->kind() == StmtKind::Reduce)
+        if (s.kind == StmtKind::Reduce)
             x += b.scalar;
-        b.scalar = convert(s->type(), x);
+        b.scalar = convert(s.src->type(), x);
     }
 
-    View alloc(const StmtPtr& s, std::vector<int64_t> dims)
+    View alloc(const LStmt& s, const int64_t* dims, size_t rank)
     {
-        locals_.push_back(std::make_unique<Buffer>(s->type(), dims));
-        return View::whole(locals_.back().get(), std::move(dims));
+        locals_.push_back(std::make_unique<Buffer>(
+            s.src->type(), std::vector<int64_t>(dims, dims + rank)));
+        return View::whole(locals_.back().get(), dims, rank);
     }
 
     size_t locals_mark() const { return locals_.size(); }
@@ -167,23 +170,26 @@ class ValuePolicy : public Walker<ValuePolicy, Buffer*>
   private:
     std::vector<std::unique_ptr<Buffer>> locals_;
 
-    static int64_t checked_flat(const View& v, const std::vector<int64_t>& idx)
+    /** `offset`, with the arity and every index checked. */
+    int64_t checked_offset(Frame f, const View& v, NodeRange idx)
     {
-        if (idx.size() != v.dims.size()) {
+        if (idx.count != v.rank) {
             fail("access arity mismatch on view (" +
-                 std::to_string(idx.size()) + " vs " +
-                 std::to_string(v.dims.size()) + ")");
+                 std::to_string(idx.count) + " vs " +
+                 std::to_string(v.rank) + ")");
         }
-        for (size_t d = 0; d < idx.size(); d++) {
-            if (idx[d] < 0 || idx[d] >= v.dims[d]) {
-                fail("out-of-bounds access: index " + std::to_string(idx[d]) +
+        int64_t at = v.offset;
+        for (size_t d = 0; d < v.rank; d++) {
+            int64_t i = eval_int(f, idx.first + d);
+            if (i < 0 || i >= v.dims[d]) {
+                fail("out-of-bounds access: index " + std::to_string(i) +
                      " not in [0, " + std::to_string(v.dims[d]) + ")");
             }
+            at += i * v.strides[d];
         }
-        int64_t f = v.flat(idx);
-        if (f < 0 || f >= v.mem->size())
+        if (at < 0 || at >= v.mem->size())
             fail("absolute access out of the underlying buffer");
-        return f;
+        return at;
     }
 };
 
@@ -202,20 +208,21 @@ interp_run(const ProcPtr& p, const std::vector<RunArg>& args)
     const auto& formals = p->args();
     if (formals.size() != args.size())
         throw InternalError("interp_run: arity mismatch");
-    ValuePolicy::Frame frame;
+    ValuePolicy interp(*p);
+    std::vector<Binding> frame = interp.entry_frame();
     for (size_t i = 0; i < formals.size(); i++) {
         const RunArg& a = args[i];
-        Binding& b = frame[formals[i].name];
+        Binding& b = interp.formal(frame, i);
         if (a.kind == RunArg::Kind::Size)
             b = Binding::of_index(a.size);
         else if (a.kind == RunArg::Kind::Scalar)
             b = Binding::of_scalar(
                 ValuePolicy::scalar_arg(formals[i].type, a.scalar));
         else
-            b = Binding::of_view(
-                ValuePolicy::View::whole(a.buf, a.buf->dims()));
+            b = Binding::of_view(ValuePolicy::View::whole(
+                a.buf, a.buf->dims().data(), a.buf->dims().size()));
     }
-    ValuePolicy().run(p, std::move(frame));
+    interp.run(frame);
 }
 
 }  // namespace exo2

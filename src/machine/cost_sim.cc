@@ -1,7 +1,9 @@
 #include "src/machine/cost_sim.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "src/cursor/accel.h"
@@ -24,8 +26,10 @@ class CacheLevel
         sets_ = lines / assoc;
         if (sets_ < 1)
             sets_ = 1;
-        tags_.assign(static_cast<size_t>(sets_) * assoc_, UINT64_MAX);
-        ages_.assign(tags_.size(), 0);
+        size_t ways = static_cast<size_t>(sets_) * assoc_;
+        tags_.reset(new uint64_t[ways]);
+        ages_.reset(new uint64_t[ways]);
+        used_.assign(static_cast<size_t>(sets_), false);
     }
 
     /** Access one line address; returns true on hit. */
@@ -33,6 +37,13 @@ class CacheLevel
     {
         uint64_t set = line % static_cast<uint64_t>(sets_);
         size_t base = static_cast<size_t>(set) * assoc_;
+        // A set is emptied on first use: a simulation touches few of
+        // L2's sets, and clearing all of them cost more than the run.
+        if (!used_[set]) {
+            std::fill_n(&tags_[base], assoc_, UINT64_MAX);
+            std::fill_n(&ages_[base], assoc_, 0);
+            used_[set] = true;
+        }
         tick_++;
         size_t victim = base;  // least recently used way, first on ties
         for (int w = 0; w < assoc_; w++) {
@@ -51,8 +62,9 @@ class CacheLevel
   private:
     int assoc_;
     int sets_;
-    std::vector<uint64_t> tags_;
-    std::vector<uint64_t> ages_;
+    std::unique_ptr<uint64_t[]> tags_;
+    std::unique_ptr<uint64_t[]> ages_;
+    std::vector<bool> used_;
     uint64_t tick_ = 0;
 };
 
@@ -77,52 +89,54 @@ class CostPolicy : public Walker<CostPolicy, Addr>
     static constexpr bool kCheckAsserts = false;
     static constexpr bool kPriceInstrs = true;
 
-    explicit CostPolicy(const CostConfig& cfg)
-        : cfg_(cfg), l1_(cfg.l1_kb, cfg.l1_assoc, cfg.line_bytes),
-          l2_(cfg.l2_kb, cfg.l2_assoc, cfg.line_bytes) {}
+    CostPolicy(const CostConfig& cfg, const Proc& p)
+        : Walker(p), cfg_(cfg), l1_(cfg.l1_kb, cfg.l1_assoc, cfg.line_bytes),
+          l2_(cfg.l2_kb, cfg.l2_assoc, cfg.line_bytes),
+          alloc_addr_(program().num_allocs())
+    {
+    }
 
     CostResult result;
 
     /** A dense `t[dims]` buffer in `mem` at the next free address. */
-    View place(ScalarType t, const MemoryPtr& mem, std::vector<int64_t> dims)
+    View place(ScalarType t, const MemoryPtr& mem, const int64_t* dims,
+               size_t rank)
     {
         int elem = type_size_bytes(t);
         int64_t bytes = elem;
-        for (int64_t d : dims)
-            bytes *= d;
+        for (size_t d = 0; d < rank; d++)
+            bytes *= dims[d];
         Addr a{heap_, !mem || mem->kind() == MemoryKind::Dram, elem};
         heap_ += static_cast<uint64_t>((bytes + 63) & ~63ll);
-        return View::whole(a, std::move(dims));
+        return View::whole(a, dims, rank);
     }
 
     /** Data read: charge memory, value unknown (0). */
-    double load(Frame& f, const View& v, const ExprPtr& e)
+    double load(Frame f, const View& v, const LExpr& e)
     {
         if (v.mem.dram)  // registers / scratchpad: free
-            touch(byte_at(v, eval_idx(f, e->idx())), v.mem.elem_bytes);
+            touch(byte_at(v, offset(f, v, e.kids)), v.mem.elem_bytes);
         return 0.0;
     }
 
     /** One write touch, for Reduce too. */
-    void store(Frame& f, const View& v, const StmtPtr& s, double)
+    void store(Frame f, const View& v, const LStmt& s, double)
     {
         if (v.mem.dram)
-            touch(byte_at(v, eval_idx(f, s->idx())), v.mem.elem_bytes);
+            touch(byte_at(v, offset(f, v, s.kids)), v.mem.elem_bytes);
     }
 
     /** Scalars live in registers. */
-    void store_scalar(Binding&, const StmtPtr&, double) {}
+    void store_scalar(Binding&, const LStmt&, double) {}
 
     /** Stable addresses for loop-local allocations: the first run of
-     *  an Alloc places it, later runs reuse that address. */
-    View alloc(const StmtPtr& s, std::vector<int64_t> dims)
+     *  an Alloc node places it, later runs reuse that address. */
+    View alloc(const LStmt& s, const int64_t* dims, size_t rank)
     {
-        auto it = alloc_addr_.find(s.get());
-        if (it == alloc_addr_.end()) {
-            Addr a = place(s->type(), s->mem(), dims).mem;
-            it = alloc_addr_.emplace(s.get(), a).first;
-        }
-        return View::whole(it->second, std::move(dims));
+        std::optional<Addr>& a = alloc_addr_[s.alloc];
+        if (!a)
+            a = place(s.src->type(), s.src->mem(), dims, rank).mem;
+        return View::whole(*a, dims, rank);
     }
 
     static double call_extern(const std::string&, const std::vector<double>&)
@@ -132,20 +146,25 @@ class CostPolicy : public Walker<CostPolicy, Addr>
 
     static double scalar_arg(ScalarType, double v) { return v; }
 
-    void instr_call(Frame& f, const StmtPtr& s)
+    void instr_call(Frame f, const LStmt& s)
     {
-        const Proc& callee = *s->callee();
+        const Proc& callee = *s.src->callee();
         const InstrInfo& info = *callee.instr();
         result.instr_calls++;
         result.cycles += info.cycles;
         if (info.instr_class == "config")
             result.config_writes++;
-        // Charge DRAM traffic of buffer arguments.
-        for (size_t i = 0; i < s->args().size(); i++) {
-            if (callee.args()[i].dims.empty())
-                eval(f, s->args()[i]);
-            else
-                touch_view(eval_view(f, s->args()[i]));
+        // Charge DRAM traffic of buffer arguments. A register or
+        // scratchpad window prices nothing, so it is not evaluated.
+        const std::vector<ProcArg>& formals = callee.args();
+        if (s.kids.count > formals.size())
+            fail("call arity mismatch");
+        for (uint32_t k = 0; k < s.kids.count; k++) {
+            const LExpr& actual = expr(s.kids.first + k);
+            if (formals[k].dims.empty())
+                eval(f, actual);
+            else if (in_dram(f, actual))
+                touch_view(eval_view(f, actual));
         }
     }
 
@@ -164,12 +183,23 @@ class CostPolicy : public Walker<CostPolicy, Addr>
     CacheLevel l1_;
     CacheLevel l2_;
     uint64_t heap_ = 4096;
-    std::map<const Stmt*, Addr> alloc_addr_;
+    std::vector<std::optional<Addr>> alloc_addr_;  ///< by LStmt::alloc
 
-    static uint64_t byte_at(const View& v, const std::vector<int64_t>& idx)
+    static uint64_t byte_at(const View& v, int64_t flat)
     {
-        return v.mem.base +
-               static_cast<uint64_t>(v.flat(idx) * v.mem.elem_bytes);
+        return v.mem.base + static_cast<uint64_t>(flat * v.mem.elem_bytes);
+    }
+
+    /** False for a buffer or window argument of a non-DRAM buffer. */
+    static bool in_dram(Frame f, const LExpr& actual)
+    {
+        bool names_buffer = actual.kind == ExprKind::Window ||
+                            (actual.kind == ExprKind::Read &&
+                             actual.kids.count == 0);
+        if (!names_buffer)
+            return true;
+        const Binding& b = f[actual.slot];
+        return b.kind != Binding::Kind::Buf || b.view.mem.dram;
     }
 
     void touch(uint64_t byte_addr, int bytes)
@@ -195,19 +225,20 @@ class CostPolicy : public Walker<CostPolicy, Addr>
     /** Charge the whole footprint of a DRAM window (DMA-style). */
     void touch_view(const View& v)
     {
-        if (!v.mem.dram)
-            return;
         int elem = v.mem.elem_bytes;
         // Iterate rows of the innermost contiguous run.
-        if (v.dims.empty()) {
-            touch(byte_at(v, {}), elem);
+        if (v.rank == 0) {
+            touch(byte_at(v, v.offset), elem);
             return;
         }
-        int64_t inner = v.dims.back();
-        int64_t stride = v.strides.back();
-        std::vector<int64_t> idx(v.dims.size(), 0);
+        int64_t inner = v.dims[v.rank - 1];
+        int64_t stride = v.strides[v.rank - 1];
+        int64_t idx[kMaxRank] = {};
         for (;;) {
-            uint64_t row = byte_at(v, idx);
+            int64_t flat = v.offset;
+            for (size_t d = 0; d < v.rank; d++)
+                flat += idx[d] * v.strides[d];
+            uint64_t row = byte_at(v, flat);
             if (stride == 1) {
                 touch(row, static_cast<int>(inner * elem));
             } else {
@@ -215,7 +246,7 @@ class CostPolicy : public Walker<CostPolicy, Addr>
                     touch(row + static_cast<uint64_t>(k * stride * elem), elem);
             }
             // Advance the outer dims like an odometer.
-            size_t d = v.dims.size() - 1;
+            size_t d = v.rank - 1;
             while (d > 0 && ++idx[d - 1] >= v.dims[d - 1])
                 idx[--d] = 0;
             if (d == 0)
@@ -299,10 +330,12 @@ simulate_cost(const ProcPtr& p, const std::vector<CostArg>& args,
     // span granularity, and the tuner scores thousands of them.
     EXO2_SPAN("cost.simulate", {{"proc", p->name()}});
     using Binding = CostPolicy::Binding;
-    CostPolicy sim(cfg);
-    CostPolicy::Frame frame;
+    CostPolicy sim(cfg, *p);
+    std::vector<Binding> frame = sim.entry_frame();
+    const std::vector<ProcArg>& formals = p->args();
     size_t ai = 0;
-    for (const auto& formal : p->args()) {
+    for (size_t i = 0; i < formals.size(); i++) {
+        const ProcArg& formal = formals[i];
         if (!formal.dims.empty())
             continue;
         if (ai >= args.size())
@@ -310,25 +343,27 @@ simulate_cost(const ProcPtr& p, const std::vector<CostArg>& args,
                                 formal.name);
         const CostArg& a = args[ai++];
         if (formal.is_size || formal.type == ScalarType::Index)
-            frame[formal.name] = Binding::of_index(
+            sim.formal(frame, i) = Binding::of_index(
                 a.is_scalar ? static_cast<int64_t>(a.scalar) : a.size);
         else
-            frame[formal.name] = Binding::of_scalar(
+            sim.formal(frame, i) = Binding::of_scalar(
                 a.is_scalar ? a.scalar : static_cast<double>(a.size));
     }
     // Second pass: buffers sized by (now bound) size args.
-    for (const auto& formal : p->args()) {
+    for (size_t i = 0; i < formals.size(); i++) {
+        const ProcArg& formal = formals[i];
         if (formal.dims.empty())
             continue;
-        frame[formal.name] = Binding::of_view(sim.place(
-            formal.type, formal.mem, sim.eval_idx(frame, formal.dims)));
+        std::vector<int64_t> dims = sim.formal_dims(frame, i);
+        sim.formal(frame, i) = Binding::of_view(
+            sim.place(formal.type, formal.mem, dims.data(), dims.size()));
     }
     if (cfg.warm) {
-        sim.run(p, frame);
+        sim.run(frame);
         sim.result = CostResult();
     }
     sim.result.cycles += cfg.dispatch_cycles;
-    sim.run(p, std::move(frame));
+    sim.run(frame);
     cost_cache()[key] = sim.result;
     return sim.result;
 }

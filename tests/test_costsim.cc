@@ -327,6 +327,32 @@ def f(x: f32[64] @ DRAM):
     EXPECT_EQ(r.cycles, 2.5);
 }
 
+TEST(CostSimDivergence, RegisterWindowsAreNotEvaluated)
+{
+    // A register window prices nothing, so the cost model does not
+    // evaluate it: the interpreter would fail on the zero divisor. The
+    // DRAM window is still charged.
+    ProcPtr body = parse_proc(R"(
+def mov(dst: [f32][8] @ AVX2, src: [f32][8] @ DRAM):
+    pass
+)");
+    InstrInfo info;
+    info.cycles = 2.0;
+    info.instr_class = "load";
+    ProcPtr mov =
+        Proc::make("mov", body->args(), {}, body->body_stmts(), info);
+    ProcPtr p = parse_proc(R"(
+def f(z: size, x: f32[8] @ DRAM):
+    v: f32[8] @ AVX2
+    mov(v[0:8 / z], x[0:8])
+)",
+                           {mov});
+    CostResult r;
+    ASSERT_NO_THROW(r = simulate_cost_named(p, {{"z", 0}}, cold()));
+    EXPECT_EQ(r.instr_calls, 1);
+    EXPECT_EQ(r.dram_accesses, 1);
+}
+
 TEST(CostSimDivergence, ScalarCallArgumentsAreNotRounded)
 {
     // Rounded to the f32 formal, 1 + 1e-12 is 1 and the branch is dead.

@@ -5,7 +5,8 @@
  * For the naive and the library-scheduled form of every level-1 and
  * level-2 BLAS kernel, SGEMM (`sgemm_with_asserts` + `schedule_sgemm`)
  * and blur/unsharp, at the sizes and seeds the tri-oracle parity tests
- * in test_verify.cc use, this records:
+ * in test_verify.cc use, and for six small procs that reuse a name
+ * (shadowing, rebinding, a callee reusing caller names), this records:
  *   - all six CostResult fields of `simulate_cost_named` (default
  *     CostConfig, warm), plus the cold-cache cycle count, which
  *     exercises the LRU miss path the small warm runs never reach, and
@@ -30,6 +31,8 @@
 #include <vector>
 
 #include "src/cache/cache.h"
+#include "src/frontend/parser.h"
+#include "src/ir/builder.h"
 #include "src/kernels/blas.h"
 #include "src/kernels/image.h"
 #include "src/machine/cost_sim.h"
@@ -210,6 +213,12 @@ const Golden kGolden[] = {
     {"blur.sched", 0x1.5decp+15, 16896, 0, 8448, 2149, 0, 0x1.1391p+17, 0x8f8a670bb220690eull},
     {"unsharp.naive", 0x1.0443p+17, 0, 0, 92160, 3690, 0, 0x1.fc59p+17, 0x2437a436431eaebdull},
     {"unsharp.sched", 0x1.0d48p+16, 23040, 0, 11520, 3690, 0, 0x1.7ebap+17, 0x2437a436431eaebdull},
+    {"reuse.nested_iter", 0x1.dbp+8, 0, 0, 228, 0, 0, 0x1.568p+9, 0xa2feeab727aadbe6ull},
+    {"reuse.iter_shadows_size", 0x1.8p+5, 0, 0, 32, 0, 0, 0x1.02p+8, 0xce1f6ba42945f90eull},
+    {"reuse.if_alloc_shadows_arg", 0x1.3ap+6, 0, 0, 50, 0, 0, 0x1.668p+8, 0x8d660eb98d7cf96eull},
+    {"reuse.window_rebinds", 0x1.ep+4, 0, 0, 26, 0, 0, 0x1.7cp+8, 0x37ac28837493168full},
+    {"reuse.callee_formals", 0x1.ep+7, 0, 0, 120, 0, 0, 0x1.c2p+8, 0x9bb7724496ad32ceull},
+    {"reuse.alloc_twice", 0x1.8p+9, 0, 0, 512, 0, 0, 0x1.92p+10, 0xea5f0c6e37859677ull},
 };
 // clang-format on
 
@@ -220,6 +229,105 @@ struct Case
     verify::SizeEnv env;
     uint64_t seed;
 };
+
+/**
+ * Procs that reuse a name: the evaluator gives each distinct name one
+ * frame slot, so these pin that shadowing, For save/restore, the value
+ * policy's block scoping and the cost policy's unscoped blocks keep
+ * their exact semantics.
+ */
+std::vector<Case>
+name_reuse_cases()
+{
+    std::vector<Case> out;
+    // The inner loop rebinds i; the read after it sees the outer i.
+    out.push_back({"reuse.nested_iter", parse_proc(R"(
+def nested_iter(n: size, x: f32[n] @ DRAM, y: f32[8] @ DRAM):
+    for i in seq(0, n):
+        y[0] += x[i]
+        for i in seq(0, 8):
+            y[i] += 1.0
+        y[1] += x[i]
+)"),
+                   {{"n", 19}}, 5011});
+    // The iterator n shadows the size n; the read after the loop sees
+    // the size again.
+    out.push_back({"reuse.iter_shadows_size", parse_proc(R"(
+def iter_shadows_size(n: size, x: f32[n] @ DRAM, y: f32[4] @ DRAM):
+    for j in seq(0, 4):
+        for n in seq(0, 3):
+            y[j] += x[n + j]
+        y[j] += x[n - 1 - j]
+)"),
+                   {{"n", 19}}, 5021});
+    // An if-body alloc shadows the argument x: scoped to the block in
+    // value mode, still bound after it in cost mode.
+    out.push_back({"reuse.if_alloc_shadows_arg", parse_proc(R"(
+def if_alloc_shadows_arg(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        if i < 3:
+            x: f32[4] @ DRAM
+            x[0] = y[i]
+            y[i] = x[0] * 2.0
+        y[i] += x[i]
+)"),
+                   {{"n", 19}}, 5031});
+    // WindowDecls rebind the argument x to a row and then to a
+    // shifted window of itself, once per iteration.
+    out.push_back({"reuse.window_rebinds", parse_proc(R"(
+def window_rebinds(x: f32[8, 8] @ DRAM, y: f32[8] @ DRAM):
+    for i in seq(0, 4):
+        y[i] += x[i, i]
+        x = x[1:8, 0:8]
+        x[0, i] = y[i]
+        y[i + 4] += x[i, 7]
+    y[0] += x[0, 0]
+)"),
+                   {}, 5041});
+    // The callee's formals and its loop iterator reuse the caller's
+    // names n, x, t and i.
+    ProcPtr addk = parse_proc(R"(
+def addk(n: size, x: [f32][n] @ DRAM, t: f32):
+    for i in seq(0, n):
+        x[i] += t
+)");
+    out.push_back({"reuse.callee_formals", parse_proc(R"(
+def callee_formals(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    t: f32
+    for i in seq(0, n - 4):
+        t = y[i]
+        addk(4, x[i:i + 4], t)
+        x[i] += t
+        y[i] = x[i + 1]
+)",
+                                                   {addk}),
+                   {{"n", 19}}, 5051});
+    // One Alloc node placed twice in a block: the cost model keys alloc
+    // addresses on the statement, so both runs share one address.
+    StmtPtr tmp = Stmt::make_alloc("t", ScalarType::F32, {idx_const(64)},
+                                   mem_dram());
+    auto copy = [](const std::string& dst, const std::string& src) {
+        return Stmt::make_for(
+            "i", idx_const(0), idx_const(64),
+            {Stmt::make_assign(dst, {var("i")}, read(src, {var("i")}),
+                               ScalarType::F32)});
+    };
+    auto add = [](const std::string& dst, const std::string& src) {
+        return Stmt::make_for(
+            "i", idx_const(0), idx_const(64),
+            {Stmt::make_reduce(dst, {var("i")}, read(src, {var("i")}),
+                               ScalarType::F32)});
+    };
+    ProcPtr twice = Proc::make(
+        "alloc_twice",
+        {buffer_arg("x", ScalarType::F32, {idx_const(64)}),
+         buffer_arg("y", ScalarType::F32, {idx_const(64)})},
+        {},
+        {tmp, copy("t", "x"), add("y", "t"), tmp, copy("t", "y"),
+         add("x", "t")});
+    out.push_back({"reuse.alloc_twice", twice, {}, 5061});
+    return out;
+}
 
 std::vector<Case>
 corpus()
@@ -260,6 +368,8 @@ corpus()
     out.push_back({"unsharp.sched",
                    sched::schedule_unsharp_like_halide(unsharp, machine_avx2()),
                    img_env, 4051});
+    for (Case& c : name_reuse_cases())
+        out.push_back(std::move(c));
     return out;
 }
 
@@ -297,8 +407,9 @@ TEST(EvalGolden, CostAndInterpBitIdentical)
     for (const Golden& g : kGolden)
         table[g.name] = &g;
     std::vector<Case> cases = corpus();
-    // 24 L1 + 50 L2 kernels, SGEMM, blur and unsharp; naive + scheduled.
-    EXPECT_EQ(cases.size(), 2u * (24 + 50 + 3));
+    // 24 L1 + 50 L2 kernels, SGEMM, blur and unsharp; naive + scheduled;
+    // and the name-reuse procs.
+    EXPECT_EQ(cases.size(), 2u * (24 + 50 + 3) + 6);
     std::string fresh;
     CostConfig cold;
     cold.warm = false;

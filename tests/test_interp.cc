@@ -120,6 +120,31 @@ def f(n: size, x: f32[n] @ DRAM):
         InternalError);
 }
 
+TEST(Interp, PointWindowIndexChecked)
+{
+    // A point index must lie in [0, dim): on f32[8, 4], A[0:8, 4] would
+    // otherwise alias A[1][0] and A[0:8, -1] would alias A[0][3].
+    ProcPtr g = parse_proc(R"(
+def g(dst: [f32][8] @ DRAM):
+    dst[1] = 1.0
+)");
+    auto call = [&](const std::string& col) {
+        return parse_proc("def f(A: f32[8, 4] @ DRAM):\n    g(A[0:8, " +
+                              col + "])\n",
+                          {g});
+    };
+    Buffer a(ScalarType::F32, {8, 4});
+    a.fill(0);
+    EXPECT_THROW(interp_run(call("4"), {RunArg::make_buffer(&a)}),
+                 InternalError);
+    EXPECT_THROW(interp_run(call("-1"), {RunArg::make_buffer(&a)}),
+                 InternalError);
+    for (int64_t i = 0; i < a.size(); i++)
+        EXPECT_EQ(a.at(i), 0.0) << "element " << i;
+    interp_run(call("3"), {RunArg::make_buffer(&a)});
+    EXPECT_EQ(a.at(1 * 4 + 3), 1.0);
+}
+
 TEST(Interp, AssertChecking)
 {
     ProcPtr p = parse_proc(R"(
