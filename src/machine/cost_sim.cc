@@ -37,8 +37,9 @@ class CacheLevel
     {
         uint64_t set = line % static_cast<uint64_t>(sets_);
         size_t base = static_cast<size_t>(set) * assoc_;
-        // A set is emptied on first use: a simulation touches few of
-        // L2's sets, and clearing all of them cost more than the run.
+        // A set is emptied on first use: a small simulation touches
+        // few of L2's sets, and clearing all of them up front cost
+        // about as much as simulating a small kernel.
         if (!used_[set]) {
             std::fill_n(&tags_[base], assoc_, UINT64_MAX);
             std::fill_n(&ages_[base], assoc_, 0);
