@@ -93,7 +93,8 @@ void register_extern(const std::string& name, ExternFn fn);
 /**
  * Execute `p` with positional `args`. Throws InternalError on
  * malformed programs (out-of-bounds access, unbound names), making the
- * interpreter double as a dynamic checker.
+ * interpreter double as a dynamic checker, and on buffers of more than
+ * `kMaxRank` (8) dimensions.
  */
 void interp_run(const ProcPtr& p, const std::vector<RunArg>& args);
 

@@ -99,6 +99,7 @@ struct CostArg
 /**
  * Simulate `p`. `args` supplies size/scalar arguments positionally
  * (buffer arguments are skipped in `args` and allocated internally).
+ * Buffers may have at most `kMaxRank` (8) dimensions.
  */
 CostResult simulate_cost(const ProcPtr& p, const std::vector<CostArg>& args,
                          const CostConfig& cfg = CostConfig());

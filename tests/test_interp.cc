@@ -145,6 +145,24 @@ def g(dst: [f32][8] @ DRAM):
     EXPECT_EQ(a.at(1 * 4 + 3), 1.0);
 }
 
+TEST(Interp, RankLimit)
+{
+    // Views hold their dims inline, up to kMaxRank = 8.
+    ProcPtr p8 = parse_proc(R"(
+def f(x: f32[1, 1, 1, 1, 1, 1, 1, 2] @ DRAM):
+    x[0, 0, 0, 0, 0, 0, 0, 1] = 5.0
+)");
+    Buffer x8(ScalarType::F32, {1, 1, 1, 1, 1, 1, 1, 2});
+    interp_run(p8, {RunArg::make_buffer(&x8)});
+    EXPECT_EQ(x8.at(1), 5.0);
+    ProcPtr p9 = parse_proc(R"(
+def f(x: f32[1, 1, 1, 1, 1, 1, 1, 1, 1] @ DRAM):
+    pass
+)");
+    Buffer x9(ScalarType::F32, {1, 1, 1, 1, 1, 1, 1, 1, 1});
+    EXPECT_THROW(interp_run(p9, {RunArg::make_buffer(&x9)}), InternalError);
+}
+
 TEST(Interp, AssertChecking)
 {
     ProcPtr p = parse_proc(R"(
