@@ -308,7 +308,7 @@ main(int argc, char** argv)
             "\"lint_seconds\": %.4f",
             c.flops, g_naive, g_hand, g_tuned, ratio, r.naive_cost,
             r.cost, r.stats.states_scored, r.stats.lint_checked,
-            r.stats.lint_pruned, r.stats.lint_seconds);
+            r.stats.lint_pruned, pb.of(obs::Phase::Lint));
         char phases[512];
         std::snprintf(
             phases, sizeof(phases),

@@ -57,7 +57,7 @@ main()
         int64_t obj = 0;
         int64_t gen = 0;
         for (const auto* k : defs) {
-            ScheduleStats::reset();
+            int64_t r0 = ScheduleStats::rewrites();
             ProcPtr s;
             try {
                 s = k->triangular
@@ -73,7 +73,7 @@ main()
                             e.what());
                 continue;
             }
-            rewrites += ScheduleStats::rewrites();
+            rewrites += ScheduleStats::rewrites() - r0;
             obj += proc_lines(k->proc);
             gen += codegen_c_lines(s);
         }

@@ -8,6 +8,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/interner.h"
 #include "src/ir/printer.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
@@ -197,10 +198,10 @@ to_affine(const ExprPtr& e)
     auto& memo = affine_memo();
     auto it = memo.find(e.get());
     if (it != memo.end()) {
-        memo_internal::g_stats.affine_hits++;
+        EXO2_COUNT("analysis.affine_hits");
         return it->second;
     }
-    memo_internal::g_stats.affine_misses++;
+    EXO2_COUNT("analysis.affine_misses");
     Affine out = to_affine_uncached(e);
     if (memo.size() >= kAffineMemoCap)
         memo.clear();

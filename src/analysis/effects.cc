@@ -11,6 +11,7 @@
 #include "src/ir/errors.h"
 #include "src/ir/interner.h"
 #include "src/ir/printer.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
@@ -473,10 +474,10 @@ collect_accesses(const StmtPtr& s)
     auto& cache = stmt_effects_cache();
     auto it = cache.find(s.get());
     if (it != cache.end()) {
-        memo_internal::g_stats.effects_hits++;
+        EXO2_COUNT("analysis.effects_hits");
         return it->second.accs;
     }
-    memo_internal::g_stats.effects_misses++;
+    EXO2_COUNT("analysis.effects_misses");
     Collector c;
     c.stmt(s, Env{});
     if (cache.size() >= kEffectsMemoCap)
@@ -498,11 +499,11 @@ collect_accesses_block(const std::vector<StmtPtr>& b)
     auto range = cache.equal_range(h);
     for (auto it = range.first; it != range.second; ++it) {
         if (it->second.stmts == b) {
-            memo_internal::g_stats.effects_hits++;
+            EXO2_COUNT("analysis.effects_hits");
             return it->second.accs;
         }
     }
-    memo_internal::g_stats.effects_misses++;
+    EXO2_COUNT("analysis.effects_misses");
     Collector c;
     c.block(b, Env{});
     if (cache.size() >= kEffectsMemoCap)

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "src/analysis/memo.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/ir/builder.h"
 #include "src/ir/interner.h"
@@ -331,10 +332,10 @@ LinearSystem::infeasible() const
     auto& cache = infeasible_cache();
     auto it = cache.find(key);
     if (it != cache.end()) {
-        memo_internal::g_stats.linear_hits++;
+        EXO2_COUNT("analysis.linear_hits");
         return it->second;
     }
-    memo_internal::g_stats.linear_misses++;
+    EXO2_COUNT("analysis.linear_misses");
     bool ans = infeasible_uncached();
     if (cache.size() >= kLinearMemoCap)
         cache.clear();
@@ -450,10 +451,10 @@ LinearSystem::implies_ge0(const Affine& a) const
     auto& cache = implies_cache();
     auto it = cache.find(key);
     if (it != cache.end()) {
-        memo_internal::g_stats.linear_hits++;
+        EXO2_COUNT("analysis.linear_hits");
         return it->second;
     }
-    memo_internal::g_stats.linear_misses++;
+    EXO2_COUNT("analysis.linear_misses");
     LinearSystem s = *this;
     Affine neg = affine_neg(a);
     neg.constant -= 1;

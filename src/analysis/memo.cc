@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "src/obs/metrics.h"
+
 namespace exo2 {
 
 namespace {
@@ -18,8 +20,6 @@ clearers()
 }  // namespace
 
 namespace memo_internal {
-
-AnalysisMemoStats g_stats;
 
 void
 register_clearer(void (*fn)())
@@ -53,13 +53,14 @@ clear_analysis_memo()
 AnalysisMemoStats
 analysis_memo_stats()
 {
-    return memo_internal::g_stats;
+    auto v = [](const char* name) { return obs::counter(name).value(); };
+    return {v("analysis.affine_hits"),  v("analysis.affine_misses"),
+            v("analysis.linear_hits"),  v("analysis.linear_misses"),
+            v("analysis.effects_hits"), v("analysis.effects_misses")};
 }
 
-void
-reset_analysis_memo_stats()
-{
-    memo_internal::g_stats = AnalysisMemoStats{};
-}
+// Registers the counters at startup: op=metrics lists them at 0.
+[[maybe_unused]] static const AnalysisMemoStats g_registered =
+    analysis_memo_stats();
 
 }  // namespace exo2

@@ -41,7 +41,8 @@ void set_analysis_memo_enabled(bool on);
 /** Drop every memo cache entry (affine, linear, effects). */
 void clear_analysis_memo();
 
-/** Aggregate hit/miss counters, for tests and benchmark reporting. */
+/** Aggregate hit/miss counts, for tests and benchmark reporting: a
+ *  snapshot of the `analysis.*` registry counters (obs/metrics.h). */
 struct AnalysisMemoStats
 {
     uint64_t affine_hits = 0;
@@ -54,9 +55,6 @@ struct AnalysisMemoStats
 
 AnalysisMemoStats analysis_memo_stats();
 
-/** Reset the hit/miss counters (does not touch cache contents). */
-void reset_analysis_memo_stats();
-
 namespace memo_internal {
 
 /** Register a cache-clearing hook; called by clear_analysis_memo(). */
@@ -67,9 +65,6 @@ struct ClearerRegistration
 {
     explicit ClearerRegistration(void (*fn)()) { register_clearer(fn); }
 };
-
-/** Shared counters, bumped by the individual caches. */
-extern AnalysisMemoStats g_stats;
 
 }  // namespace memo_internal
 

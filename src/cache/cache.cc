@@ -12,6 +12,7 @@
 #include <mutex>
 
 #include "src/cache/cache_internal.h"
+#include "src/obs/metrics.h"
 #include "src/util/env.h"
 #include "src/util/file_atomic.h"
 #include "src/verify/sandbox.h"
@@ -78,26 +79,21 @@ CompileKey::hash() const
 // Stats
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::mutex g_stats_mu;
-CacheStats g_stats;
-
-}  // namespace
-
 CacheStats
 cache_stats()
 {
-    std::lock_guard<std::mutex> lk(g_stats_mu);
-    return g_stats;
+    auto v = [](const char* name) { return obs::counter(name).value(); };
+    return {v("cache.tune_hits"),   v("cache.tune_misses"),
+            v("cache.tune_stores"), v("cache.tune_store_failures"),
+            v("cache.tune_corrupt"), v("cache.tune_stale"),
+            v("cache.jit_hits"),    v("cache.jit_misses"),
+            v("cache.jit_stores"),  v("cache.jit_store_failures"),
+            v("cache.jit_corrupt"), v("cache.jit_stale"),
+            v("cache.tmp_swept")};
 }
 
-void
-reset_cache_stats()
-{
-    std::lock_guard<std::mutex> lk(g_stats_mu);
-    g_stats = CacheStats();
-}
+// Registers the counters at startup: op=metrics lists them at 0.
+[[maybe_unused]] static const CacheStats g_registered = cache_stats();
 
 // ---------------------------------------------------------------------------
 // Compiler identity
@@ -194,16 +190,6 @@ quarantine(const std::string& dir, const std::string& name,
                       std::to_string(seq.fetch_add(1));
     if (rename(src.c_str(), dst.c_str()) != 0)
         unlink(src.c_str());  // never serve a damaged entry twice
-}
-
-StatsRef::StatsRef() { g_stats_mu.lock(); }
-
-StatsRef::~StatsRef() { g_stats_mu.unlock(); }
-
-CacheStats*
-StatsRef::operator->()
-{
-    return &g_stats;  // guarded by the mutex held for our lifetime
 }
 
 void

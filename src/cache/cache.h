@@ -68,7 +68,8 @@ std::string hex64(uint64_t v);
 /** The cache root from EXO2_CACHE_DIR; empty = caching disabled. */
 std::string cache_dir_from_env();
 
-/** Process-wide degradation/effectiveness counters for both caches. */
+/** Process-wide degradation/effectiveness counts for both caches: a
+ *  snapshot of the `cache.*` registry counters (obs/metrics.h). */
 struct CacheStats
 {
     // Tuning cache.
@@ -90,7 +91,6 @@ struct CacheStats
 };
 
 CacheStats cache_stats();
-void reset_cache_stats();
 
 // ---------------------------------------------------------------------------
 // Tuning cache

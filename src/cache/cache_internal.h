@@ -5,8 +5,7 @@
  * @file
  * Shared plumbing of the persistent caches (not part of the public
  * API): directory creation, the advisory-flock write guard, entry
- * quarantine, and the global stats counters. See cache.h for the
- * on-disk discipline these implement.
+ * quarantine. See cache.h for the on-disk discipline these implement.
  */
 
 #include <cstdint>
@@ -53,14 +52,6 @@ class FlockGuard
  */
 void quarantine(const std::string& dir, const std::string& name,
                 const char* reason);
-
-/** Mutating access to the process-wide counters (cache.h). */
-struct StatsRef
-{
-    StatsRef();   ///< locks
-    ~StatsRef();  ///< unlocks
-    CacheStats* operator->();
-};
 
 /** Damage a just-written cache file in place, for the cache_corrupt
  *  injection site: flip a byte in the middle and truncate the tail so

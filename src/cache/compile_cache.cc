@@ -3,6 +3,7 @@
 
 #include "src/cache/cache.h"
 #include "src/cache/cache_internal.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/file_atomic.h"
 #include "src/verify/sandbox.h"
@@ -13,7 +14,6 @@ namespace cache {
 namespace {
 
 using internal::FlockGuard;
-using internal::StatsRef;
 
 constexpr const char* kMagic = "exo2-jit-cache v1";
 
@@ -107,10 +107,8 @@ CompileCache::CompileCache(std::string dir)
         return;
     }
     int swept = util::sweep_stale_tmp_files(dir_);
-    if (swept > 0) {
-        StatsRef stats;
-        stats->tmp_swept += swept;
-    }
+    if (swept > 0)
+        obs::counter("cache.tmp_swept").inc(static_cast<uint64_t>(swept));
 }
 
 CompileCache::CompileCache() : CompileCache(cache_dir_from_env()) {}
@@ -125,8 +123,7 @@ CompileCache::probe(const CompileKey& key) const
     std::string sname = so_name(key);
     std::string meta;
     if (!util::read_file_text(dir_ + "/" + mname, &meta)) {
-        StatsRef stats;
-        stats->jit_misses++;
+        EXO2_COUNT("cache.jit_misses");
         return std::nullopt;
     }
 
@@ -140,15 +137,15 @@ CompileCache::probe(const CompileKey& key) const
         internal::quarantine(dir_, sname,
                              mo == MetaOutcome::Stale ? "stale"
                                                       : "corrupt");
-        StatsRef stats;
-        (mo == MetaOutcome::Stale ? stats->jit_stale
-                                  : stats->jit_corrupt)++;
-        stats->jit_misses++;
+        if (mo == MetaOutcome::Stale)
+            EXO2_COUNT("cache.jit_stale");
+        else
+            EXO2_COUNT("cache.jit_corrupt");
+        EXO2_COUNT("cache.jit_misses");
         return std::nullopt;
     }
     if (mo == MetaOutcome::KeyMismatch) {
-        StatsRef stats;
-        stats->jit_misses++;
+        EXO2_COUNT("cache.jit_misses");
         return std::nullopt;
     }
 
@@ -160,13 +157,11 @@ CompileCache::probe(const CompileKey& key) const
         fnv1a64(so) != checksum) {
         internal::quarantine(dir_, sname, "checksum");
         internal::quarantine(dir_, mname, "checksum");
-        StatsRef stats;
-        stats->jit_corrupt++;
-        stats->jit_misses++;
+        EXO2_COUNT("cache.jit_corrupt");
+        EXO2_COUNT("cache.jit_misses");
         return std::nullopt;
     }
-    StatsRef stats;
-    stats->jit_hits++;
+    EXO2_COUNT("cache.jit_hits");
     return dir_ + "/" + sname;
 }
 
@@ -179,8 +174,7 @@ CompileCache::store(const CompileKey& key,
     EXO2_SPAN("cache.jit_store");
     std::string so;
     if (!util::read_file_text(so_path, &so) || so.empty()) {
-        StatsRef stats;
-        stats->jit_store_failures++;
+        EXO2_COUNT("cache.jit_store_failures");
         return false;
     }
 
@@ -208,11 +202,10 @@ CompileCache::store(const CompileKey& key,
                                     stale_meta, /*durable=*/true);
         }
     }
-    StatsRef stats;
     if (ok)
-        stats->jit_stores++;
+        EXO2_COUNT("cache.jit_stores");
     else
-        stats->jit_store_failures++;
+        EXO2_COUNT("cache.jit_store_failures");
     return ok;
 }
 

@@ -4,6 +4,7 @@
 #include "src/cache/cache.h"
 #include "src/cache/cache_internal.h"
 #include "src/machine/cost_sim.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/tune/actions.h"
 #include "src/util/file_atomic.h"
@@ -15,7 +16,6 @@ namespace cache {
 namespace {
 
 using internal::FlockGuard;
-using internal::StatsRef;
 
 constexpr const char* kMagic = "exo2-tune-cache v1";
 
@@ -169,10 +169,8 @@ TuneCache::TuneCache(std::string dir)
     // mid-write (their entries were never published, so nothing else
     // refers to them).
     int swept = util::sweep_stale_tmp_files(dir_);
-    if (swept > 0) {
-        StatsRef stats;
-        stats->tmp_swept += swept;
-    }
+    if (swept > 0)
+        obs::counter("cache.tmp_swept").inc(static_cast<uint64_t>(swept));
 }
 
 TuneCache::TuneCache() : TuneCache(cache_dir_from_env()) {}
@@ -186,36 +184,27 @@ TuneCache::probe(const TuneKey& key) const
     std::string name = entry_name(key);
     std::string text;
     if (!util::read_file_text(dir_ + "/" + name, &text)) {
-        StatsRef stats;
-        stats->tune_misses++;
+        EXO2_COUNT("cache.tune_misses");
         return std::nullopt;
     }
     TuneEntry e;
     switch (parse_entry(text, key, &e)) {
-      case ParseOutcome::Ok: {
-          StatsRef stats;
-          stats->tune_hits++;
-          return e;
-      }
-      case ParseOutcome::Corrupt: {
-          internal::quarantine(dir_, name, "corrupt");
-          StatsRef stats;
-          stats->tune_corrupt++;
-          stats->tune_misses++;
-          return std::nullopt;
-      }
-      case ParseOutcome::Stale: {
-          internal::quarantine(dir_, name, "stale");
-          StatsRef stats;
-          stats->tune_stale++;
-          stats->tune_misses++;
-          return std::nullopt;
-      }
-      case ParseOutcome::KeyMismatch: {
-          StatsRef stats;
-          stats->tune_misses++;
-          return std::nullopt;
-      }
+      case ParseOutcome::Ok:
+        EXO2_COUNT("cache.tune_hits");
+        return e;
+      case ParseOutcome::Corrupt:
+        internal::quarantine(dir_, name, "corrupt");
+        EXO2_COUNT("cache.tune_corrupt");
+        EXO2_COUNT("cache.tune_misses");
+        return std::nullopt;
+      case ParseOutcome::Stale:
+        internal::quarantine(dir_, name, "stale");
+        EXO2_COUNT("cache.tune_stale");
+        EXO2_COUNT("cache.tune_misses");
+        return std::nullopt;
+      case ParseOutcome::KeyMismatch:
+        EXO2_COUNT("cache.tune_misses");
+        return std::nullopt;
     }
     return std::nullopt;
 }
@@ -254,11 +243,10 @@ TuneCache::store(const TuneKey& key, const TuneEntry& entry) const
                 /*durable=*/true);
         }
     }
-    StatsRef stats;
     if (ok)
-        stats->tune_stores++;
+        EXO2_COUNT("cache.tune_stores");
     else
-        stats->tune_store_failures++;
+        EXO2_COUNT("cache.tune_store_failures");
     return ok;
 }
 

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "src/obs/metrics.h"
+
 namespace exo2 {
 
 namespace {
@@ -20,8 +22,6 @@ clearers()
 }  // namespace
 
 namespace accel_internal {
-
-CursorAccelStats g_stats;
 
 void
 register_clearer(void (*fn)())
@@ -76,13 +76,14 @@ cursor_accel_epoch()
 CursorAccelStats
 cursor_accel_stats()
 {
-    return accel_internal::g_stats;
+    auto v = [](const char* name) { return obs::counter(name).value(); };
+    return {v("cursor.fwd_hits"), v("cursor.fwd_misses"),
+            v("cursor.index_hits"), v("cursor.index_misses"),
+            v("cursor.index_pruned")};
 }
 
-void
-reset_cursor_accel_stats()
-{
-    accel_internal::g_stats = CursorAccelStats{};
-}
+// Registers the counters at startup: op=metrics lists them at 0.
+[[maybe_unused]] static const CursorAccelStats g_registered =
+    cursor_accel_stats();
 
 }  // namespace exo2

@@ -65,7 +65,8 @@ void clear_cursor_accel_caches();
  */
 uint64_t cursor_accel_epoch();
 
-/** Hit/miss counters, for tests and benchmark reporting. */
+/** Hit/miss counts, for tests and benchmark reporting: a snapshot of
+ *  the `cursor.*` registry counters (obs/metrics.h). */
 struct CursorAccelStats
 {
     /** Forwarding memo hits (walk stopped at a cached ancestor). */
@@ -81,9 +82,6 @@ struct CursorAccelStats
 };
 
 CursorAccelStats cursor_accel_stats();
-
-/** Reset the counters (does not touch cache contents). */
-void reset_cursor_accel_stats();
 
 /**
  * Epoch-validated probe-or-build protocol of the inline
@@ -120,9 +118,6 @@ struct ClearerRegistration
 {
     explicit ClearerRegistration(void (*fn)()) { register_clearer(fn); }
 };
-
-/** Shared counters, bumped by the individual caches. */
-extern CursorAccelStats g_stats;
 
 }  // namespace accel_internal
 

@@ -7,6 +7,7 @@
 #include "src/cursor/pattern.h"
 #include "src/ir/errors.h"
 #include "src/ir/interner.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
@@ -458,7 +459,7 @@ forward_cursor(const ProcPtr& p, const Cursor& c)
         key.target_uid = cur->uid();
         auto it = cache.find(key);
         if (it != cache.end()) {
-            accel_internal::g_stats.fwd_hits++;
+            EXO2_COUNT("cursor.fwd_hits");
             loc = it->second;
             break;
         }
@@ -476,7 +477,7 @@ forward_cursor(const ProcPtr& p, const Cursor& c)
     for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
         if (loc) {
             loc = (*it)->provenance()->fwd(*loc);
-            accel_internal::g_stats.fwd_misses++;
+            EXO2_COUNT("cursor.fwd_misses");
         }
         key.target_uid = (*it)->uid();
         cache.emplace(key, loc);

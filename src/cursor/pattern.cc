@@ -9,6 +9,7 @@
 #include "src/frontend/parser.h"
 #include "src/ir/errors.h"
 #include "src/ir/interner.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
@@ -206,9 +207,9 @@ const SubtreeSummary*
 subtree_summary(const StmtPtr& s)
 {
     if (s->pattern_memo().epoch == cursor_accel_epoch())
-        accel_internal::g_stats.index_hits++;
+        EXO2_COUNT("cursor.index_hits");
     else
-        accel_internal::g_stats.index_misses++;
+        EXO2_COUNT("cursor.index_misses");
     return probe_subtree_memo<SubtreeSummary>(s->pattern_memo(), [&] {
         auto sum = std::make_shared<SubtreeSummary>();
         sum->kind_mask = static_cast<uint16_t>(
@@ -266,13 +267,13 @@ may_contain(const StmtPtr& s, const PatQuery& q)
         return true;
     const SubtreeSummary* sum = subtree_summary(s);
     if (!(sum->kind_mask & q.kind_bit)) {
-        accel_internal::g_stats.index_pruned++;
+        EXO2_COUNT("cursor.index_pruned");
         return false;
     }
     if (q.has_name &&
         (!(sum->key_bloom & (uint64_t(1) << (q.key & 63))) ||
          !std::binary_search(sum->keys.begin(), sum->keys.end(), q.key))) {
-        accel_internal::g_stats.index_pruned++;
+        EXO2_COUNT("cursor.index_pruned");
         return false;
     }
     return true;

@@ -7,6 +7,7 @@
 
 #include "src/ir/errors.h"
 #include "src/ir/interner.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
@@ -113,8 +114,6 @@ struct InternTable
 {
     std::mutex mu;
     std::unordered_multimap<uint64_t, ExprPtr> map;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
     uint64_t next_id = 1;
 };
 
@@ -136,37 +135,34 @@ Expr::intern(Expr&& tmp)
     auto range = t.map.equal_range(tmp.hash_);
     for (auto it = range.first; it != range.second; ++it) {
         if (shallow_expr_equal(*it->second, tmp)) {
-            t.hits++;
+            EXO2_COUNT("ir.interner_hits");
             return it->second;
         }
     }
     tmp.id_ = t.next_id++;
     ExprPtr p(new Expr(std::move(tmp)));
     t.map.emplace(p->structural_hash(), p);
-    t.misses++;
+    EXO2_COUNT("ir.interner_misses");
     return p;
 }
 
 InternerStats
 expr_interner_stats()
 {
-    InternTable& t = intern_table();
-    std::lock_guard<std::mutex> lock(t.mu);
     InternerStats s;
-    s.live_nodes = t.map.size();
-    s.hits = t.hits;
-    s.misses = t.misses;
+    {
+        InternTable& t = intern_table();
+        std::lock_guard<std::mutex> lock(t.mu);
+        s.live_nodes = t.map.size();
+    }
+    s.hits = obs::counter("ir.interner_hits").value();
+    s.misses = obs::counter("ir.interner_misses").value();
     return s;
 }
 
-void
-reset_expr_interner_stats()
-{
-    InternTable& t = intern_table();
-    std::lock_guard<std::mutex> lock(t.mu);
-    t.hits = 0;
-    t.misses = 0;
-}
+// Registers the counters at startup: op=metrics lists them at 0.
+[[maybe_unused]] static const InternerStats g_registered =
+    expr_interner_stats();
 
 bool
 is_predicate_op(BinOpKind op)

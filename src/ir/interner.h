@@ -63,7 +63,8 @@ hash_str(const std::string& s)
     return h;
 }
 
-/** Interner introspection (implemented in expr.cc). */
+/** Interner introspection (implemented in expr.cc); hits and misses
+ *  are the `ir.interner_*` registry counters (obs/metrics.h). */
 struct InternerStats
 {
     uint64_t live_nodes = 0;  ///< distinct interned expressions
@@ -72,9 +73,6 @@ struct InternerStats
 };
 
 InternerStats expr_interner_stats();
-
-/** Reset the hit/miss counters (the table itself is never cleared). */
-void reset_expr_interner_stats();
 
 }  // namespace exo2
 

@@ -10,6 +10,7 @@
 #include "src/interp/walk.h"
 #include "src/ir/errors.h"
 #include "src/ir/interner.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace exo2 {
@@ -258,8 +259,6 @@ class CostPolicy : public Walker<CostPolicy, Addr>
 
 // -- Result memoization (see cost_sim.h) -------------------------------
 
-CostSimCacheStats g_cache_stats;
-
 std::unordered_map<uint64_t, CostResult>&
 cost_cache()
 {
@@ -301,14 +300,13 @@ cost_key(const ProcPtr& p, const std::vector<CostArg>& args,
 CostSimCacheStats
 cost_sim_cache_stats()
 {
-    return g_cache_stats;
+    return {obs::counter("costsim.cache_hits").value(),
+            obs::counter("costsim.cache_misses").value()};
 }
 
-void
-reset_cost_sim_cache_stats()
-{
-    g_cache_stats = CostSimCacheStats();
-}
+// Registers the counters at startup: op=metrics lists them at 0.
+[[maybe_unused]] static const CostSimCacheStats g_registered =
+    cost_sim_cache_stats();
 
 void
 clear_cost_sim_cache()
@@ -323,10 +321,10 @@ simulate_cost(const ProcPtr& p, const std::vector<CostArg>& args,
     uint64_t key = cost_key(p, args, cfg);
     auto it = cost_cache().find(key);
     if (it != cost_cache().end()) {
-        g_cache_stats.hits++;
+        EXO2_COUNT("costsim.cache_hits");
         return it->second;
     }
-    g_cache_stats.misses++;
+    EXO2_COUNT("costsim.cache_misses");
     // Spanned only on a memo miss: hits are a hash probe, far below
     // span granularity, and the tuner scores thousands of them.
     EXO2_SPAN("cost.simulate", {{"proc", p->name()}});

@@ -119,7 +119,8 @@ CostResult simulate_cost_named(const ProcPtr& p,
 // and inputs). Single-threaded like the analysis memo caches; cleared
 // together with the cursor-accel caches (`clear_cursor_accel_caches`).
 
-/** Hit/miss counters, reported alongside `cursor_accel_stats()`. */
+/** Hit/miss counts, reported alongside `cursor_accel_stats()`: a
+ *  snapshot of the `costsim.cache_*` registry counters. */
 struct CostSimCacheStats
 {
     uint64_t hits = 0;
@@ -127,9 +128,6 @@ struct CostSimCacheStats
 };
 
 CostSimCacheStats cost_sim_cache_stats();
-
-/** Reset the counters (does not touch cache contents). */
-void reset_cost_sim_cache_stats();
 
 /** Drop every memoized cost result. */
 void clear_cost_sim_cache();

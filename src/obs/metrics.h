@@ -6,18 +6,23 @@
  * Process-wide metrics registry (DESIGN.md §10): named counters,
  * gauges, and log-scale histograms behind one queryable snapshot.
  *
- * This is the unification point for the engine's scattered stats
- * structs — cursor-accel hits, cost-sim cache hits, persistent-cache
- * counters, daemon latencies all surface here (publish_engine_stats
- * mirrors the legacy structs in), and `op=metrics` on the daemon
- * serializes the whole registry as JSON.
+ * The registry owns every engine counter — cursor acceleration,
+ * analysis memo, interner, cost-sim cache, persistent caches, primitive
+ * rewrites, ISA downgrades, fired faults — and the daemon's latency
+ * histograms; `op=metrics` serializes it as JSON. A subsystem's typed
+ * stats getter (`cursor_accel_stats()`, `cache::cache_stats()`, ...)
+ * is a snapshot read from its counters.
  *
  * Concurrency: registration (name -> metric lookup) takes a mutex;
- * updates are lock-free atomics. Hot call sites look the metric up
- * once and cache the reference:
+ * updates are lock-free atomics. An increment site looks its counter
+ * up once, in a function-local static (safe even from another
+ * translation unit's static initializer):
  *
- *     static obs::Counter& c = obs::counter("cjit.compiles");
- *     c.inc();
+ *     EXO2_COUNT("cursor.fwd_hits");
+ *
+ * and the owning subsystem reads its counters once from a
+ * namespace-scope initializer, so metrics_json() lists them at 0
+ * before their first bump.
  *
  * References stay valid forever: the registry never erases a metric
  * (reset_metrics() zeroes values in place).
@@ -129,12 +134,6 @@ std::string metrics_json();
 
 /** Zero every metric in place (references stay valid). Test hook. */
 void reset_metrics();
-
-/** Mirror the engine's legacy stats structs (cursor-accel, cost-sim
- *  cache, persistent caches, fault injection) into registry gauges so
- *  one metrics_json() covers the whole engine. Cheap; call before
- *  serving a snapshot. */
-void publish_engine_stats();
 
 /** Bump a named counter; the lookup is done once per call site. */
 #define EXO2_COUNT(name)                                                  \

@@ -9,19 +9,13 @@
  *
  * A collection is thread-local: the daemon worker (or a CLI driver)
  * brackets one request with phase_begin_collection() /
- * phase_end_collection() and the phase timers inside the engine —
- * search.cc owns the attribution points — accumulate into it.
- * phase_add() outside a collection is a no-op, so instrumented code
- * costs nothing when nobody is asking for a breakdown.
- *
- * Phases are disjoint by construction (timers are placed around
- * non-overlapping regions and never nested); whatever a collection
- * does not attribute shows up as the gap between total() and the
- * caller's wall clock.
+ * phase_end_collection(). Inside it, a span (trace.h) whose name the
+ * table in phase.cc maps charges its duration to that phase, traced or
+ * not; one nested in another mapped span charges nothing, so phases
+ * are disjoint by construction. phase_add() charges time no span
+ * covers (the daemon's queue wait). Whatever a collection does not
+ * attribute is the gap between total() and the caller's wall clock.
  */
-
-#include <chrono>
-#include <cstdint>
 
 namespace exo2 {
 namespace obs {
@@ -68,31 +62,15 @@ void phase_add(Phase p, double seconds);
 /** Stop and return what was accumulated. */
 PhaseBreakdown phase_end_collection();
 
-/** RAII region timer: charges its lifetime to one phase. Do not nest
- *  PhaseTimers — phases are disjoint regions, not a stack. */
-class PhaseTimer
-{
-  public:
-    explicit PhaseTimer(Phase p)
-        : p_(p), active_(phase_collecting()),
-          t0_(std::chrono::steady_clock::now())
-    {
-    }
-    ~PhaseTimer()
-    {
-        if (active_)
-            phase_add(p_, std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0_)
-                              .count());
-    }
-    PhaseTimer(const PhaseTimer&) = delete;
-    PhaseTimer& operator=(const PhaseTimer&) = delete;
+namespace phase_internal {
 
-  private:
-    Phase p_;
-    bool active_;
-    std::chrono::steady_clock::time_point t0_;
-};
+/** Span hooks (trace.cc): the phase a span opening now charges (-1
+ *  outside a collection, unmapped, or nested in a charging span), and
+ *  the charge when it closes. */
+int open_span(const char* name);
+void close_span(int phase, double seconds);
+
+}  // namespace phase_internal
 
 }  // namespace obs
 }  // namespace exo2

@@ -8,13 +8,14 @@
 #include <sstream>
 
 #include "src/obs/obs.h"
+#include "src/obs/phase.h"
 #include "src/util/file_atomic.h"
 
 namespace exo2 {
 namespace obs {
 
 namespace trace_internal {
-std::atomic<bool> g_on{false};
+std::atomic<uint32_t> g_hooks{0};
 }
 
 namespace {
@@ -152,32 +153,34 @@ struct EnvAutoStart
 
 }  // namespace
 
-void
-Span::begin(const char* name)
+bool
+Span::open_hooked(const char* name, uint32_t hooks)
 {
-    active_ = true;
+    phase_ = hooks >= trace_internal::kCollector
+                 ? phase_internal::open_span(name)
+                 : -1;
+    traced_ = (hooks & trace_internal::kTracing) != 0;
+    if (phase_ < 0 && !traced_)
+        return false;
     name_ = name;
     t0_ns_ = now_ns();
-}
-
-void
-Span::begin(const char* name, std::initializer_list<TraceArg> args)
-{
-    args_.assign(args.begin(), args.end());
-    begin(name);
+    return traced_;
 }
 
 void
 Span::finish()
 {
-    active_ = false;
-    if (!trace_enabled())
-        return;  // tracing stopped mid-span: drop it
     uint64_t t1 = now_ns();
+    uint64_t dur_ns = t1 >= t0_ns_ ? t1 - t0_ns_ : 0;
+    if (phase_ >= 0)
+        phase_internal::close_span(phase_,
+                                   static_cast<double>(dur_ns) * 1e-9);
+    if (!traced_ || !trace_enabled())
+        return;  // untraced, or tracing stopped mid-span: drop it
     SpanRecord r;
     r.name = name_;
     r.t0_ns = t0_ns_;
-    r.dur_ns = t1 >= t0_ns_ ? t1 - t0_ns_ : 0;
+    r.dur_ns = dur_ns;
     r.args = std::move(args_);
     my_ring().push(std::move(r));
 }
@@ -197,13 +200,15 @@ trace_start(const std::string& path, size_t ring_capacity)
     if (!path.empty())
         std::call_once(at_exit_once,
                        [] { std::atexit(flush_sink_at_exit); });
-    trace_internal::g_on.store(true, std::memory_order_relaxed);
+    trace_internal::g_hooks.fetch_or(trace_internal::kTracing,
+                                     std::memory_order_relaxed);
 }
 
 void
 trace_stop()
 {
-    trace_internal::g_on.store(false, std::memory_order_relaxed);
+    trace_internal::g_hooks.fetch_and(~trace_internal::kTracing,
+                                      std::memory_order_relaxed);
 }
 
 void

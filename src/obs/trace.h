@@ -17,9 +17,14 @@
  * "serve.request") and MUST be string literals — the tracer stores
  * the pointer, not a copy. Dynamic values go in the args list.
  *
- * Cost model: when tracing is off the macro is one relaxed atomic
- * load and a branch; the arguments are not evaluated and nothing is
- * allocated (test_obs.cc asserts both). When on, each completed span
+ * Inside a thread's phase collection, a span whose name phase.h maps
+ * to a phase also charges its duration to it, traced or not.
+ *
+ * Cost model: with tracing off and no collection open anywhere, the
+ * macro is one relaxed atomic load and a branch (plus one thread-local
+ * read while another thread collects); the arguments are not evaluated
+ * and nothing is allocated (test_obs.cc asserts both). When on, each
+ * completed span
  * is appended to a per-thread ring buffer (per-ring mutex, touched
  * only by its own thread and the flusher), so tracing never contends
  * across threads on the hot path. Rings wrap: a thread keeps its most
@@ -43,14 +48,18 @@ namespace exo2 {
 namespace obs {
 
 namespace trace_internal {
-extern std::atomic<bool> g_on;
-}
+/** Bit 0: tracing on; plus kCollector per thread inside a phase
+ *  collection. Zero: every span is dormant. */
+extern std::atomic<uint32_t> g_hooks;
+constexpr uint32_t kTracing = 1;
+constexpr uint32_t kCollector = 2;
+}  // namespace trace_internal
 
-/** One hot relaxed load: the EXO2_SPAN fast path when tracing is off. */
 inline bool
 trace_enabled()
 {
-    return trace_internal::g_on.load(std::memory_order_relaxed);
+    return trace_internal::g_hooks.load(std::memory_order_relaxed) &
+           trace_internal::kTracing;
 }
 
 /** One span argument. Converting constructors let call sites write
@@ -83,27 +92,40 @@ struct TraceArg
     }
 };
 
-/** RAII span. Declared unconditionally by EXO2_SPAN; begin() runs only
- *  when tracing is on, so a dormant Span is a few POD stores. */
+/** RAII span. Declared unconditionally by EXO2_SPAN; a dormant Span is
+ *  a few POD stores. */
 class Span
 {
   public:
     Span() = default;
     ~Span()
     {
-        if (active_)
+        if (traced_ || phase_ >= 0)
             finish();
     }
     Span(const Span&) = delete;
     Span& operator=(const Span&) = delete;
 
-    void begin(const char* name);
-    void begin(const char* name, std::initializer_list<TraceArg> args);
+    /** Start if tracing is on or the span charges a phase; true when
+     *  tracing is on (then the caller attaches set_args()). */
+    bool open(const char* name)
+    {
+        uint32_t hooks =
+            trace_internal::g_hooks.load(std::memory_order_relaxed);
+        return hooks != 0 && open_hooked(name, hooks);
+    }
+    void set_args(const char*) {}
+    void set_args(const char*, std::initializer_list<TraceArg> args)
+    {
+        args_.assign(args.begin(), args.end());
+    }
 
   private:
+    bool open_hooked(const char* name, uint32_t hooks);
     void finish();
 
-    bool active_ = false;
+    bool traced_ = false;
+    int phase_ = -1;  ///< the Phase (phase.h) this span charges, or -1
     const char* name_ = nullptr;
     uint64_t t0_ns_ = 0;
     std::vector<TraceArg> args_;
@@ -145,12 +167,17 @@ bool trace_flush(const std::string& path);
 #define EXO2_OBS_CONCAT_(a, b) a##b
 #define EXO2_OBS_CONCAT(a, b) EXO2_OBS_CONCAT_(a, b)
 
+/** The span name: the first macro argument (the trailing 0 keeps the
+ *  variadic part non-empty for a bare EXO2_SPAN("name")). */
+#define EXO2_OBS_SPAN_NAME_(name, ...) name
+
 /** Open a span for the rest of the enclosing scope. Arguments are
  *  evaluated only when tracing is enabled. One use per source line. */
 #define EXO2_SPAN(...)                                                    \
     ::exo2::obs::Span EXO2_OBS_CONCAT(exo2_obs_span_, __LINE__);          \
-    if (::exo2::obs::trace_enabled())                                     \
-    EXO2_OBS_CONCAT(exo2_obs_span_, __LINE__).begin(__VA_ARGS__)
+    if (EXO2_OBS_CONCAT(exo2_obs_span_, __LINE__)                         \
+            .open(EXO2_OBS_SPAN_NAME_(__VA_ARGS__, 0)))                   \
+    EXO2_OBS_CONCAT(exo2_obs_span_, __LINE__).set_args(__VA_ARGS__)
 
 }  // namespace obs
 }  // namespace exo2

@@ -156,7 +156,16 @@ bind_config(const ProcPtr& p, const Cursor& e, const std::string& cfg,
     require(ec2.has_value(), "bind_config: expression lost");
     ExprPtr rd = Expr::make_read_config(cfg, field, expr->type());
     batch.replace_expr(ec2->path, rd);
-    return batch.commit("bind_config");
+    ProcPtr out = batch.commit("bind_config");
+    // Configuration state is global: every iteration of an enclosing
+    // parallel loop now writes the same field.
+    for (size_t i = 0; i + 1 < stmt_path.size(); i++) {
+        if (is_stmt_list_label(stmt_path[i].label))
+            require_par_loop_independent(
+                out, Path(stmt_path.begin(), stmt_path.begin() + i + 1),
+                "bind_config");
+    }
+    return out;
 }
 
 ProcPtr

@@ -107,6 +107,11 @@ lift_alloc(const ProcPtr& p, const Cursor& alloc, int n_lifts)
         ProcPtr next =
             apply_move(cur, addr, pos, pos + 1, paddr, ppos, "lift_alloc");
         ac = next->forward(ac);
+        // Lifted out of a parallel loop (now right after it), the
+        // buffer is shared by every iteration.
+        Path parent_path = ac.loc().path;
+        parent_path.back().index++;
+        require_par_loop_independent(next, parent_path, "lift_alloc");
         cur = next;
     }
     return cur;

@@ -1,22 +1,24 @@
 #include "src/primitives/common.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <functional>
 #include <set>
 #include <unordered_map>
 
+#include "src/analysis/effects.h"
 #include "src/cursor/accel.h"
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
 namespace {
 
-std::atomic<int64_t> g_rewrites{0};
+// Registered at startup so op=metrics lists it at 0.
+[[maybe_unused]] obs::Counter& g_registered = obs::counter("prim.rewrites");
 
 }  // namespace
 
@@ -24,19 +26,30 @@ void
 ScheduleStats::count_rewrite(const std::string& primitive)
 {
     (void)primitive;
-    g_rewrites.fetch_add(1);
+    EXO2_COUNT("prim.rewrites");
 }
 
 int64_t
 ScheduleStats::rewrites()
 {
-    return g_rewrites.load();
+    return static_cast<int64_t>(obs::counter("prim.rewrites").value());
 }
 
 void
-ScheduleStats::reset()
+require_par_loop_independent(const ProcPtr& p, const Path& path,
+                             const std::string& who)
 {
-    g_rewrites.store(0);
+    StmtPtr s = stmt_at(p, path);
+    std::vector<LoopConflict> conflicts;
+    if (s->kind() != StmtKind::For || s->loop_mode() != LoopMode::Par ||
+        !loop_conflicts(Context::at(p, path), s, /*reductions_ok=*/false,
+                        &conflicts))
+        return;
+    std::string why;
+    for (const LoopConflict& c : conflicts)
+        why += (why.empty() ? "" : "; ") + c.detail;
+    require(false,
+            who + ": parallel loop '" + s->iter() + "' would race: " + why);
 }
 
 void

@@ -22,18 +22,29 @@ namespace exo2 {
 /**
  * Global accounting of primitive rewrites, reproducing the paper's
  * "number of primitive rewrites" metric (Fig. 9b). Every primitive
- * application increments the counter.
+ * application bumps the `prim.rewrites` registry counter
+ * (obs/metrics.h); callers count a schedule by the difference of two
+ * rewrites() reads.
  */
 class ScheduleStats
 {
   public:
     static void count_rewrite(const std::string& primitive);
     static int64_t rewrites();
-    static void reset();
 };
 
 /** Throw SchedulingError with `msg` when `cond` is false. */
 void require(bool cond, const std::string& msg);
+
+/**
+ * If the statement at `path` in `p` is a parallel loop, re-run
+ * parallelize_loop's check on it (`loop_conflicts`, no reductions) and
+ * refuse naming every conflicting access pair. Primitives that write
+ * into a parallel loop (bind_config) or lift a buffer out of one
+ * (lift_alloc) call it on their result.
+ */
+void require_par_loop_independent(const ProcPtr& p, const Path& path,
+                                  const std::string& who);
 
 /** All names bound anywhere in the proc (args, allocs, iterators). */
 std::vector<std::string> used_names(const ProcPtr& p);

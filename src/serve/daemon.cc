@@ -440,8 +440,8 @@ Daemon::worker_main()
             queue_.pop_front();
         }
         // One collection per request: queue wait measured here, the
-        // engine phases (lint/cache/search/cjit/validate) accumulated
-        // by the timers inside autotune and friends.
+        // engine phases (lint/cache/search/cjit/validate) charged by
+        // the mapped spans inside autotune and friends (obs/phase.h).
         obs::phase_begin_collection();
         obs::phase_add(obs::Phase::Queue,
                        now_seconds() - job.admitted);
@@ -506,10 +506,8 @@ Daemon::process(const ServeRequest& req, double admitted)
             resp.extra["latency_p95_ms"] = fmt_ms(lat.percentile(0.95));
             resp.extra["latency_p99_ms"] = fmt_ms(lat.percentile(0.99));
         } else if (req.op == "metrics") {
-            // The whole registry as one JSON value: engine gauges
-            // refreshed first so counters, caches, latency and phase
-            // histograms arrive in a single snapshot.
-            obs::publish_engine_stats();
+            // The whole registry as one JSON value: engine counters,
+            // latency and phase histograms in a single snapshot.
             resp.status = "ok";
             resp.extra["metrics"] = obs::metrics_json();
         } else if (req.op == "tune") {
@@ -633,10 +631,11 @@ Daemon::process_lint(const ServeRequest& req)
     resp.id = req.id;
 
     ProcPtr p = resolve_kernel(req.kernel);
+    // Lint fills the same unsynchronized analysis caches a tune does.
+    std::lock_guard<std::mutex> lk(engine_mu_);
     if (!req.script.empty()) {
         std::vector<verify::FuzzStep> script =
             verify::script_from_string(req.script);
-        std::lock_guard<std::mutex> lk(engine_mu_);
         p = tune::replay_script(p, script);
         resp.script = verify::script_to_string(script);
     }

@@ -37,9 +37,13 @@
  *   script / cost / naive_cost / validated / from_cache / elapsed_ms
  *   (op=stats responses carry counters as extra key=value pairs plus
  *   latency_count and latency_p50/p95/p99_ms percentiles; op=metrics
- *   returns the whole observability registry — counters, gauges,
- *   latency and per-phase histograms — as one JSON value under
- *   `metrics`; op=lint — and op=schedule, which lints at admission —
+ *   returns the whole observability registry as one JSON value under
+ *   `metrics`: every engine counter (cursor.*, analysis.*,
+ *   ir.interner_*, costsim.cache_*, cache.*, prim.rewrites,
+ *   cjit.isa_downgrades, faults.fired — listed from startup, at 0
+ *   before first use) under "counters", plus gauges and the latency
+ *   and per-phase histograms; op=lint — and op=schedule, which lints
+ *   at admission —
  *   carry the static-analysis verdict in extra: lint_errors/
  *   lint_warnings/lint_infos/lint_proven/lint_safe plus the full
  *   diagnostic list as JSON under `lint`)
@@ -48,7 +52,8 @@
  *   daemon-assigned when the client sent none) and — for queued work
  *   (tune/schedule/lint) — a per-phase time breakdown
  *   phase_{queue,lint,cache,search,cjit,validate}_ms attributing
- *   where the request's wall clock went (DESIGN.md §10).
+ *   where the request's wall clock went (DESIGN.md §10); op=lint and
+ *   op=schedule report their lint time in phase_lint_ms.
  *
  * Every response is one of exactly four statuses; "the daemon died"
  * is not among them. `rejected` means the bounded queue (or a drain

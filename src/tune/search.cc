@@ -8,7 +8,6 @@
 #include "src/cache/cache.h"
 #include "src/ir/errors.h"
 #include "src/lint/lint.h"
-#include "src/obs/phase.h"
 #include "src/obs/trace.h"
 #include "src/tune/actions.h"
 #include "src/tune/tune.h"
@@ -160,7 +159,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
     if (tcache.enabled()) {
         tkey = tune_cache_key(p, machine, opts.tune_sizes);
         auto hit = [&] {
-            obs::PhaseTimer pt(obs::Phase::Cache);
             EXO2_SPAN("tune.cache_probe", {{"proc", p->name()}});
             return tcache.probe(tkey);
         }();
@@ -168,7 +166,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
             try {
                 TuneResult r;
                 {
-                    obs::PhaseTimer pt(obs::Phase::Cache);
                     EXO2_SPAN("tune.cache_replay",
                               {{"proc", p->name()}});
                     std::vector<FuzzStep> script =
@@ -185,7 +182,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
                     r.from_cache = true;
                 }
                 if (opts.validate) {
-                    obs::PhaseTimer pt(obs::Phase::Validate);
                     EXO2_SPAN("tune.validate", {{"source", "cache"}});
                     verify::TriOracleReport rep =
                         verify::tri_oracle_check(p, r.best,
@@ -296,8 +292,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
     };
 
     // -- Beam search ---------------------------------------------------
-    {
-    obs::PhaseTimer phase_search(obs::Phase::Search);
     std::vector<State> beam{init};
     double best_cost = init.cost;
     int stall = 0;
@@ -377,7 +371,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
                       << ": reached " << cur.cost << " cycles\n";
         }
     }
-    }  // phase_search
 
     // -- Static lint gate (DESIGN.md §9) --------------------------------
     // Every pool candidate is linted before the cjit/sandbox step;
@@ -390,10 +383,8 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
     std::vector<State> ranked = pool.states();
     std::unordered_set<uint64_t> lint_rejected;
     if (opts.lint) {
-        obs::PhaseTimer phase_lint(obs::Phase::Lint);
         EXO2_SPAN("tune.lint_gate",
                   {{"candidates", static_cast<int>(ranked.size())}});
-        auto lint_t0 = std::chrono::steady_clock::now();
         for (const State& st : ranked) {
             lint::LintReport lr = lint::lint_proc(st.proc);
             result.stats.lint_checked++;
@@ -415,10 +406,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
                 result.stats.lint_pruned++;
             }
         }
-        result.stats.lint_seconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          lint_t0)
-                .count();
     }
     auto lint_bad = [&](const State& st) {
         return lint_rejected.count(st.digest) > 0;
@@ -427,7 +414,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
     // -- JIT-measured refinement ---------------------------------------
     std::vector<double> measured(ranked.size(), -1.0);
     if (opts.jit_topk > 0) {
-        obs::PhaseTimer phase_cjit(obs::Phase::Cjit);
         size_t k = std::min(static_cast<size_t>(opts.jit_topk),
                             ranked.size());
         std::vector<std::pair<double, size_t>> order;
@@ -538,7 +524,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
         }
     }
     if (opts.validate) {
-        obs::PhaseTimer phase_validate(obs::Phase::Validate);
         bool found = false;
         size_t limit =
             result.degraded ? std::min<size_t>(1, ranked.size())
@@ -582,7 +567,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
     // degraded (deadline-cut) result would poison every later request
     // for the same key with a weaker schedule.
     if (tcache.enabled() && result.validated && !result.degraded) {
-        obs::PhaseTimer phase_store(obs::Phase::Cache);
         EXO2_SPAN("tune.cache_store", {{"proc", p->name()}});
         cache::TuneEntry entry;
         entry.script_text = verify::script_to_string(result.script);

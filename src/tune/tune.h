@@ -131,8 +131,6 @@ struct TuneStats
      *  findings (proven violations; see lint.h's soundness contract). */
     int lint_checked = 0;
     int lint_pruned = 0;
-    /** Wall-clock seconds spent in the lint gate. */
-    double lint_seconds = 0;
     /** Cost-cache deltas over this call (see cost_sim.h). */
     uint64_t cost_cache_hits = 0;
     uint64_t cost_cache_misses = 0;

@@ -17,6 +17,7 @@
 #include "src/cache/cache.h"
 #include "src/codegen/c_codegen.h"
 #include "src/ir/errors.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/env.h"
 #include "src/util/file_atomic.h"
@@ -94,6 +95,10 @@ namespace {
 
 std::mutex g_downgrade_mu;
 std::vector<IsaDowngrade> g_downgrades;
+// Every downgrade ever recorded (clear_isa_downgrades() keeps the
+// count); registered at startup so op=metrics lists it at 0.
+[[maybe_unused]] obs::Counter& g_registered =
+    obs::counter("cjit.isa_downgrades");
 
 void
 record_downgrade(const std::string& proc_name, NativeIsa requested,
@@ -108,6 +113,7 @@ record_downgrade(const std::string& proc_name, NativeIsa requested,
         std::lock_guard<std::mutex> lk(g_downgrade_mu);
         g_downgrades.push_back(d);
     }
+    EXO2_COUNT("cjit.isa_downgrades");
     if (util::env_flag("EXO2_VERBOSE_DOWNGRADES", false)) {
         std::fprintf(stderr,
                      "exo2: ISA downgrade for '%s': %s -> %s (%s)\n",

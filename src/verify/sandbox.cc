@@ -15,6 +15,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/env.h"
 #include "src/util/rng.h"
@@ -320,6 +321,9 @@ struct Injector
 std::mutex g_injector_mu;
 Injector g_injector;
 bool g_env_checked = false;
+// Every injection ever fired (reset_fault_injection_counts() keeps the
+// count); registered at startup so op=metrics lists it at 0.
+[[maybe_unused]] obs::Counter& g_registered = obs::counter("faults.fired");
 
 /** Load EXO2_FAULTS once, lazily, unless set_fault_spec overrode it. */
 void
@@ -523,6 +527,7 @@ fault_should_inject(FaultSite site)
     if (g_injector.rng.unit() >= p)
         return false;
     (*counter)++;
+    EXO2_COUNT("faults.fired");
     return true;
 }
 

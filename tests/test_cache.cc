@@ -24,6 +24,7 @@
 #include "src/ir/errors.h"
 #include "src/kernels/blas.h"
 #include "src/machine/machine.h"
+#include "src/obs/metrics.h"
 #include "src/tune/tune.h"
 #include "src/util/env.h"
 #include "src/util/file_atomic.h"
@@ -78,7 +79,7 @@ class CacheTest : public ::testing::Test
     {
         unsetenv("EXO2_CACHE_DIR");
         unsetenv("EXO2_FAULTS");
-        cache::reset_cache_stats();
+        obs::reset_metrics();
         verify::clear_fault_spec();
         verify::reset_fault_injection_counts();
     }
@@ -432,7 +433,7 @@ TEST_F(CacheTest, ConcurrentProcessesAndKill9SelfHeal)
 
     // Restart: construction sweeps orphans; every surviving entry
     // either parses clean or quarantines as a miss — no errors.
-    cache::reset_cache_stats();
+    obs::reset_metrics();
     cache::TuneCache tc(dir);
     for (int i = 0; i < 7; i++) {
         cache::TuneKey k =

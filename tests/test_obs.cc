@@ -5,9 +5,11 @@
  * trace JSON well-formedness (parsed by a strict little JSON
  * validator), histogram bucket edges and percentiles, metrics
  * snapshot consistency under concurrent writers, the
- * zero-allocation/near-zero-cost guarantee when tracing is off, and
+ * zero-allocation/near-zero-cost guarantee when tracing is off, phases
+ * charged by spans (tracing off), registry-owned engine counters, and
  * the daemon's telemetry surface: request-id echo, per-phase extras,
- * op=metrics round-trip, op=stats latency percentiles.
+ * op=metrics round-trip (also polled during a tune, TSan-checked),
+ * op=stats latency percentiles.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +30,8 @@
 #include <vector>
 
 #include "src/ir/errors.h"
+#include "src/kernels/blas.h"
+#include "src/machine/machine.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/phase.h"
@@ -35,6 +39,7 @@
 #include "src/serve/client.h"
 #include "src/serve/daemon.h"
 #include "src/serve/protocol.h"
+#include "src/tune/tune.h"
 
 // ---------------------------------------------------------------------------
 // Allocation counting: the whole binary's global new/delete, gated by
@@ -550,6 +555,185 @@ TEST_F(ObsTest, PhaseCollectionIsThreadLocalAndAdditive)
     EXPECT_FALSE(phase_collecting());
 }
 
+/** Sleep for at least `ms` milliseconds. */
+void
+spend_ms(double ms)
+{
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
+}
+
+double
+seconds_since(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+TEST_F(ObsTest, MappedSpansChargeTheirPhaseWithTracingOff)
+{
+    ASSERT_FALSE(trace_enabled());
+    const std::pair<const char*, Phase> kMapped[] = {
+        {"tune.round", Phase::Search},
+        {"tune.restart", Phase::Search},
+        {"tune.replay", Phase::Search},
+        {"tune.lint_gate", Phase::Lint},
+        {"lint.proc", Phase::Lint},
+        {"tune.cache_probe", Phase::Cache},
+        {"tune.cache_replay", Phase::Cache},
+        {"tune.cache_store", Phase::Cache},
+        {"tune.jit_measure", Phase::Cjit},
+        {"tune.validate", Phase::Validate},
+    };
+    for (const auto& [name, phase] : kMapped) {
+        phase_begin_collection();
+        {
+            EXO2_SPAN(name);
+            spend_ms(1);
+        }
+        PhaseBreakdown pb = phase_end_collection();
+        EXPECT_GE(pb.of(phase), 0.001) << name;
+        EXPECT_DOUBLE_EQ(pb.total(), pb.of(phase)) << name;
+    }
+
+    // Outside a collection a mapped span charges nothing.
+    {
+        EXO2_SPAN("tune.round");
+        spend_ms(1);
+    }
+    phase_begin_collection();
+    EXPECT_DOUBLE_EQ(phase_end_collection().total(), 0.0);
+    EXPECT_EQ(trace_span_count(), 0u);  // and tracing stayed off
+}
+
+TEST_F(ObsTest, MappedSpanNestedInAMappedSpanIsChargedOnce)
+{
+    phase_begin_collection();
+    auto t0 = std::chrono::steady_clock::now();
+    {
+        EXO2_SPAN("tune.lint_gate");
+        {
+            EXO2_SPAN("lint.proc");  // same phase, nested
+            spend_ms(2);
+        }
+        {
+            EXO2_SPAN("tune.validate");  // another phase, still nested
+            spend_ms(2);
+        }
+    }
+    double wall = seconds_since(t0);
+    PhaseBreakdown pb = phase_end_collection();
+    EXPECT_GE(pb.of(Phase::Lint), 0.004);
+    EXPECT_LE(pb.of(Phase::Lint), wall);
+    EXPECT_DOUBLE_EQ(pb.of(Phase::Validate), 0.0);
+    EXPECT_DOUBLE_EQ(pb.total(), pb.of(Phase::Lint));
+
+    // Once the outer span closed, the next mapped span charges again.
+    phase_begin_collection();
+    {
+        EXO2_SPAN("tune.validate");
+        spend_ms(1);
+    }
+    EXPECT_GE(phase_end_collection().of(Phase::Validate), 0.001);
+}
+
+TEST_F(ObsTest, UnmappedSpansChargeNothingAndAllocateNothing)
+{
+    ASSERT_FALSE(trace_enabled());
+    phase_begin_collection();
+    {
+        EXO2_SPAN("test.warm", {{"k", "v"}});
+    }
+
+    g_allocs.store(0);
+    g_count_allocs.store(true);
+    for (int i = 0; i < 10000; i++) {
+        // Args that WOULD allocate if evaluated.
+        EXO2_SPAN("test.unmapped",
+                  {{"key", std::string("heap-allocated-value")},
+                   {"i", i}});
+        EXO2_SPAN("cost.simulate",
+                  {{"proc", std::string("heap-allocated-value")}});
+    }
+    g_count_allocs.store(false);
+    EXPECT_EQ(g_allocs.load(), 0u);
+    EXPECT_DOUBLE_EQ(phase_end_collection().total(), 0.0);
+
+    // A mapped span charges without evaluating its arguments either.
+    phase_begin_collection();
+    g_count_allocs.store(true);
+    for (int i = 0; i < 1000; i++) {
+        EXO2_SPAN("tune.round",
+                  {{"key", std::string("heap-allocated-value")}});
+    }
+    g_count_allocs.store(false);
+    EXPECT_EQ(g_allocs.load(), 0u);
+    EXPECT_GT(phase_end_collection().of(Phase::Search), 0.0);
+}
+
+TEST_F(ObsTest, AutotuneChargesSearchLintAndValidateFromSpans)
+{
+    ASSERT_FALSE(trace_enabled());
+    tune::TuneOpts opts;
+    opts.tune_sizes = {{"n", 256}};
+    opts.beam_width = 2;
+    opts.max_rounds = 2;
+    opts.random_restarts = 0;
+    opts.jit_topk = 0;
+    opts.validate = true;
+    opts.lint = true;
+    opts.use_cache = false;
+
+    phase_begin_collection();
+    auto t0 = std::chrono::steady_clock::now();
+    tune::TuneResult r = tune::autotune(kernels::find_kernel("saxpy").proc,
+                                        find_machine("AVX2"), opts);
+    double wall = seconds_since(t0);
+    PhaseBreakdown pb = phase_end_collection();
+
+    EXPECT_TRUE(r.validated);
+    EXPECT_GT(r.stats.lint_checked, 0);
+    EXPECT_GT(pb.of(Phase::Search), 0.0);
+    EXPECT_GT(pb.of(Phase::Lint), 0.0);
+    EXPECT_GT(pb.of(Phase::Validate), 0.0);
+    EXPECT_DOUBLE_EQ(pb.of(Phase::Cjit), 0.0);  // jit_topk = 0
+    EXPECT_LT(pb.total(), wall);
+}
+
+// ---------------------------------------------------------------------------
+// Engine counters
+// ---------------------------------------------------------------------------
+
+TEST_F(ObsTest, EngineCountersAreRegisteredRegistryCounters)
+{
+    // Registered during static initialization, so every name is listed
+    // (at 0 after a reset) before any engine work bumps it.
+    std::string js = metrics_json();
+    size_t lo = js.find("\"counters\":{");
+    size_t hi = js.find("},\"gauges\"");
+    ASSERT_NE(lo, std::string::npos);
+    ASSERT_NE(hi, std::string::npos);
+    std::string counters = js.substr(lo, hi - lo);
+    for (const char* name :
+         {"cursor.fwd_hits", "cursor.fwd_misses", "cursor.index_hits",
+          "cursor.index_misses", "cursor.index_pruned",
+          "costsim.cache_hits", "costsim.cache_misses", "cache.tune_hits",
+          "cache.tune_misses", "cache.tune_stores",
+          "cache.tune_store_failures", "cache.tune_corrupt",
+          "cache.tune_stale", "cache.jit_hits", "cache.jit_misses",
+          "cache.jit_stores", "cache.jit_store_failures",
+          "cache.jit_corrupt", "cache.jit_stale", "cache.tmp_swept",
+          "cjit.isa_downgrades", "faults.fired", "analysis.affine_hits",
+          "analysis.affine_misses", "analysis.linear_hits",
+          "analysis.linear_misses", "analysis.effects_hits",
+          "analysis.effects_misses", "ir.interner_hits",
+          "ir.interner_misses", "prim.rewrites"}) {
+        EXPECT_NE(counters.find(std::string("\"") + name + "\":0"),
+                  std::string::npos)
+            << name << " in " << counters;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Daemon telemetry
 // ---------------------------------------------------------------------------
@@ -669,6 +853,85 @@ TEST_F(ObsDaemonTest, MetricsEndpointReturnsRegistryWithPercentiles)
     EXPECT_GE(std::stoull(sresp.extra["latency_count"]), 1u);
     EXPECT_GT(std::stod(sresp.extra["latency_p50_ms"]), 0.0);
 
+    d.stop();
+}
+
+TEST_F(ObsDaemonTest, MetricsPolledDuringATuneReadOnlyAtomics)
+{
+    // op=metrics answers inline on the connection thread while a
+    // worker tunes and bumps the engine counters. The counters are
+    // registry atomics, so the poll is no data race (checked under
+    // TSan, which the CI concurrency job runs this binary with).
+    serve::ServeConfig cfg;
+    cfg.socket_path = "/tmp/exo2_obs_" + std::to_string(getpid()) +
+                      "_c.sock";
+    cfg.workers = 1;
+    serve::Daemon d(cfg);
+    d.start();
+
+    std::atomic<bool> tuned{false};
+    serve::ServeResponse tresp;
+    std::thread tuner([&] {
+        serve::ServeClient client(cfg.socket_path);
+        serve::ServeRequest req;
+        req.id = "tune";
+        req.op = "tune";
+        req.kernel = "saxpy";
+        req.sizes = "n=256";
+        req.beam = 2;
+        req.rounds = 3;
+        req.restarts = 0;
+        req.jit_topk = 0;
+        req.validate = 0;
+        if (client.connect())
+            tresp = client.call_with_retry(req);
+        tuned.store(true);
+    });
+
+    serve::ServeClient poller(cfg.socket_path);
+    EXPECT_TRUE(poller.connect());
+    int polls = 0;
+    while (!tuned.load() || polls < 2) {
+        serve::ServeRequest mreq;
+        mreq.id = "m" + std::to_string(polls++);
+        mreq.op = "metrics";
+        serve::ServeResponse mresp = poller.call_with_retry(mreq);
+        EXPECT_TRUE(mresp.ok()) << mresp.detail;
+        EXPECT_NE(mresp.extra["metrics"].find("\"cursor.fwd_hits\""),
+                  std::string::npos);
+    }
+    tuner.join();
+    EXPECT_TRUE(tresp.ok()) << tresp.detail;
+    d.stop();
+}
+
+TEST_F(ObsDaemonTest, LintAndScheduleReportTheirLintPhase)
+{
+    // Admission and on-demand lint run under the mapped `lint.proc`
+    // span, so their time lands in phase_lint_ms.
+    serve::ServeConfig cfg;
+    cfg.socket_path = "/tmp/exo2_obs_" + std::to_string(getpid()) +
+                      "_d.sock";
+    cfg.workers = 1;
+    serve::Daemon d(cfg);
+    d.start();
+    serve::ServeClient client(cfg.socket_path);
+    ASSERT_TRUE(client.connect());
+
+    serve::ServeRequest req;
+    req.id = "lint";
+    req.op = "lint";
+    req.kernel = "sgemv_n";
+    serve::ServeResponse resp = client.call_with_retry(req);
+    ASSERT_TRUE(resp.ok()) << resp.detail;
+    EXPECT_GT(std::stod(resp.extra["phase_lint_ms"]), 0.0);
+
+    req.id = "sched";
+    req.op = "schedule";
+    req.kernel = "saxpy";
+    resp = client.call_with_retry(req);
+    ASSERT_TRUE(resp.ok()) << resp.detail;
+    EXPECT_GT(std::stod(resp.extra["phase_lint_ms"]), 0.0);
     d.stop();
 }
 

@@ -46,6 +46,31 @@ def v(n: size, x: f32[n] @ DRAM):
     EXPECT_THROW(lift_alloc(p, p->find_alloc("t")), SchedulingError);
 }
 
+TEST(LiftAlloc, RefusesLiftingOutOfParallelLoop)
+{
+    // Minimized from the lint fuzz corpus (drot at seeds 10007 and
+    // 38007): a per-iteration scalar lifted out of a parallel loop is
+    // shared by every iteration, a real race the lint race pass
+    // reports as EXL201.
+    const char* src = R"(
+def v(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in par(0, n):
+        t: f32 @ DRAM
+        t = x[i]
+        y[i] = t
+)";
+    ProcPtr p = parse_proc(src);
+    try {
+        lift_alloc(p, p->find_alloc("t"));
+        FAIL() << "lifting out of a parallel loop must be refused";
+    } catch (const SchedulingError& e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("parallel loop 'i'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("write t"), std::string::npos) << what;
+    }
+}
+
 TEST(SinkAlloc, Inverse)
 {
     ProcPtr p = parse_proc(kStaged);

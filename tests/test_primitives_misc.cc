@@ -296,6 +296,38 @@ def r(n: size, x: f32[4] @ DRAM):
     EXPECT_TRUE(block_equal(p3->body_stmts(), p->body_stmts()));
 }
 
+TEST(Config, BindConfigRefusesWriteInParallelLoop)
+{
+    // Minimized from the lint fuzz corpus (saxpy, drot, sgemv_n and
+    // strmv_lnn at seed 36007): binding into a parallel loop's body
+    // puts a write of global configuration state in every iteration,
+    // a real race the lint race pass reports as EXL201.
+    const char* src = R"(
+def r(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in par(0, n):
+        y[i] = x[i] * 2.0
+)";
+    ProcPtr p = parse_proc(src);
+    try {
+        bind_config(p, p->find("y[i] = _").rhs(), "cfg", "f");
+        FAIL() << "bind_config into a parallel loop must be refused";
+    } catch (const SchedulingError& e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("parallel loop 'i'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("cfg.f"), std::string::npos) << what;
+    }
+
+    // The same binding in a sequential loop is still fine.
+    ProcPtr seq = parse_proc(R"(
+def r(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        y[i] = x[i] * 2.0
+)");
+    EXPECT_NO_THROW(
+        bind_config(seq, seq->find("y[i] = _").rhs(), "cfg", "f"));
+}
+
 TEST(InlineCall, SplicesBody)
 {
     ProcPtr callee = parse_proc(R"(

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/cache/cache.h"
+#include "src/obs/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/daemon.h"
 #include "src/serve/protocol.h"
@@ -90,7 +91,7 @@ class ServeTest : public ::testing::Test
               "EXO2_SERVE_QUEUE", "EXO2_SERVE_DEADLINE",
               "EXO2_SERVE_RETRIES"})
             unsetenv(v);
-        cache::reset_cache_stats();
+        obs::reset_metrics();
         verify::clear_fault_spec();
         verify::reset_fault_injection_counts();
     }
@@ -506,6 +507,47 @@ wait_for_socket(const std::string& path, double seconds = 5.0)
         usleep(10 * 1000);
     }
     return false;
+}
+
+TEST_F(ServeTest, LintHoldsTheEngineLockWhileATuneRuns)
+{
+    // op=lint fills the same unsynchronized analysis caches a tune
+    // does. With two workers, one lints while the other tunes; an
+    // unlocked lint_proc is a data race TSan reports (the CI
+    // concurrency job runs this binary under TSan).
+    ServeConfig cfg = test_config("lintrace");
+    Daemon d(cfg);
+    d.start();
+
+    std::atomic<bool> tuned{false};
+    ServeResponse tresp;
+    std::thread tuner([&] {
+        ServeClient client(cfg.socket_path);
+        ServeRequest req = tune_request();
+        req.validate = 0;
+        EXPECT_TRUE(client.call(req, &tresp));
+        tuned.store(true);
+    });
+
+    ServeClient linter(cfg.socket_path);
+    const char* kKernels[] = {"saxpy", "sdot", "drot", "sgemv_n"};
+    int lints = 0;
+    while (!tuned.load() || lints < 4) {
+        ServeRequest req;
+        req.id = "l" + std::to_string(lints);
+        req.op = "lint";
+        req.kernel = kKernels[lints % 4];
+        ServeResponse resp;
+        bool answered = linter.call(req, &resp);
+        EXPECT_TRUE(answered);
+        EXPECT_TRUE(resp.ok()) << resp.detail;
+        lints++;
+        if (!answered)
+            break;
+    }
+    tuner.join();
+    EXPECT_TRUE(tresp.ok()) << tresp.detail;
+    d.stop();
 }
 
 TEST_F(ServeTest, Kill9RestartSelfHeals)

@@ -17,6 +17,7 @@
 #include "src/kernels/image.h"
 #include "src/machine/cost_sim.h"
 #include "src/machine/machine.h"
+#include "src/obs/metrics.h"
 #include "src/tune/actions.h"
 #include "src/tune/tune.h"
 #include "src/verify/fuzz.h"
@@ -177,7 +178,7 @@ def f(n: size, x: f32[n] @ DRAM):
         x[i] = x[i] + 1.0
 )");
     clear_cost_sim_cache();
-    reset_cost_sim_cache_stats();
+    obs::reset_metrics();
 
     CostResult r1 = simulate_cost_named(p, {{"n", 64}});
     CostSimCacheStats s1 = cost_sim_cache_stats();

@@ -304,7 +304,6 @@ main(int argc, char** argv)
             }
             std::vector<verify::FuzzStep> script =
                 load_script(script_path);
-            obs::PhaseTimer pt(obs::Phase::Search);
             EXO2_SPAN("tune.replay", {{"proc", p->name()}});
             ProcPtr q = tune::replay_script(p, script);
             (void)q;
