@@ -1,9 +1,17 @@
 #include "src/machine/cost_sim.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 
 #include "src/cursor/accel.h"
@@ -295,36 +303,11 @@ cost_key(const ProcPtr& p, const std::vector<CostArg>& args,
     return hash_combine(h, cfg.warm ? 1u : 0u);
 }
 
-}  // namespace
-
-CostSimCacheStats
-cost_sim_cache_stats()
-{
-    return {obs::counter("costsim.cache_hits").value(),
-            obs::counter("costsim.cache_misses").value()};
-}
-
-// Registers the counters at startup: op=metrics lists them at 0.
-[[maybe_unused]] static const CostSimCacheStats g_registered =
-    cost_sim_cache_stats();
-
-void
-clear_cost_sim_cache()
-{
-    cost_cache().clear();
-}
-
+/** Run `p` once (twice when warm) under `cfg`: one memo miss. */
 CostResult
-simulate_cost(const ProcPtr& p, const std::vector<CostArg>& args,
-              const CostConfig& cfg)
+run_simulation(const ProcPtr& p, const std::vector<CostArg>& args,
+               const CostConfig& cfg)
 {
-    uint64_t key = cost_key(p, args, cfg);
-    auto it = cost_cache().find(key);
-    if (it != cost_cache().end()) {
-        EXO2_COUNT("costsim.cache_hits");
-        return it->second;
-    }
-    EXO2_COUNT("costsim.cache_misses");
     // Spanned only on a memo miss: hits are a hash probe, far below
     // span granularity, and the tuner scores thousands of them.
     EXO2_SPAN("cost.simulate", {{"proc", p->name()}});
@@ -363,14 +346,254 @@ simulate_cost(const ProcPtr& p, const std::vector<CostArg>& args,
     }
     sim.result.cycles += cfg.dispatch_cycles;
     sim.run(frame);
-    cost_cache()[key] = sim.result;
     return sim.result;
 }
 
+// -- The simulation pool (see cost_sim.h, DESIGN.md §6) ----------------
+
+obs::Gauge&
+pool_workers_gauge()
+{
+    static obs::Gauge& g = obs::gauge("costsim.pool_workers");
+    return g;
+}
+
+/**
+ * One worker pinned to each CPU of the process's affinity mask, so the
+ * workers stay on distinct CPUs whatever the scheduler's wake-up
+ * placement does (DESIGN.md §6). A batch wakes them all; those that
+ * join claim task indices in order from a shared counter while the
+ * caller blocks, so the started tasks are always a prefix, and the
+ * batch ends when one of them finds nothing left and every joined
+ * worker is done (a worker that wakes later sits it out).
+ */
+class SimPool
+{
+  public:
+    /** Never destroyed: idle workers may still be parked at exit. */
+    static SimPool& get()
+    {
+        static SimPool* pool = new SimPool();
+        return *pool;
+    }
+
+    SimPool(const SimPool&) = delete;
+    SimPool& operator=(const SimPool&) = delete;
+
+    /** Call `task(i)` for i in [0, n) on the workers, polling `stop`
+     *  before each claim; returns how many were started. Batches from
+     *  different threads run one at a time. */
+    size_t run(size_t n, const std::function<void(size_t)>& task,
+               const std::function<bool()>& stop)
+    {
+        std::lock_guard<std::mutex> one_batch(batch_mu_);
+        std::unique_lock<std::mutex> lk(mu_);
+        if (workers_.empty())
+            start();
+        pool_workers_gauge().set(static_cast<int64_t>(workers_.size()));
+        task_ = &task;
+        stop_ = &stop;
+        n_ = n;
+        next_.store(0, std::memory_order_relaxed);
+        open_ = true;
+        gen_++;
+        wake_.notify_all();
+        done_.wait(lk, [&] { return !open_ && joined_ == 0; });
+        return std::min(next_.load(std::memory_order_relaxed), n);
+    }
+
+  private:
+    SimPool()
+    {
+        // A forked child has only the forking thread, so workers the
+        // parent started would never answer the child's first batch.
+        // Join them before every fork instead; the next batch that
+        // needs them, in either process, starts them again.
+        pthread_atfork([] { get().join_for_fork(); },
+                       [] { get().batch_mu_.unlock(); },
+                       [] { get().batch_mu_.unlock(); });
+    }
+
+    /** Requires mu_. */
+    void start()
+    {
+        std::vector<int> cpus;
+        cpu_set_t mask;
+        CPU_ZERO(&mask);
+        if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+            for (int c = 0; c < CPU_SETSIZE; c++)
+                if (CPU_ISSET(c, &mask))
+                    cpus.push_back(c);
+        }
+        if (cpus.empty())
+            cpus.push_back(-1);  // mask unreadable: one unpinned worker
+        for (int cpu : cpus)
+            workers_.emplace_back([this, cpu, gen = gen_] { work(cpu, gen); });
+    }
+
+    void work(int cpu, uint64_t seen)
+    {
+        if (cpu >= 0) {
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(cpu, &one);
+            pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+        }
+        std::unique_lock<std::mutex> lk(mu_);
+        for (;;) {
+            wake_.wait(lk, [&] { return quit_ || gen_ != seen; });
+            if (quit_)
+                return;
+            seen = gen_;
+            if (!open_)
+                continue;  // woke after the batch ended
+            joined_++;
+            lk.unlock();
+            while (!(*stop_ && (*stop_)())) {
+                size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+                if (i >= n_)
+                    break;
+                (*task_)(i);
+            }
+            lk.lock();
+            open_ = false;  // nothing left to claim, or stopped
+            if (--joined_ == 0)
+                done_.notify_one();
+        }
+    }
+
+    /** The atfork prepare handler: waits out a running batch, then
+     *  joins the workers. The parent and child handlers unlock. */
+    void join_for_fork()
+    {
+        batch_mu_.lock();
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            quit_ = true;
+        }
+        wake_.notify_all();
+        for (std::thread& t : workers_)
+            t.join();
+        workers_.clear();
+        std::lock_guard<std::mutex> lk(mu_);
+        quit_ = false;
+    }
+
+    std::mutex batch_mu_;  ///< held for a whole batch, and across fork
+    std::mutex mu_;        ///< guards the batch state below
+    std::condition_variable wake_;
+    std::condition_variable done_;
+    bool quit_ = false;
+    uint64_t gen_ = 0;    ///< bumped per batch
+    bool open_ = false;   ///< the batch still takes workers
+    size_t joined_ = 0;   ///< workers inside the current batch
+    const std::function<void(size_t)>* task_ = nullptr;
+    const std::function<bool()>* stop_ = nullptr;
+    size_t n_ = 0;
+    std::atomic<size_t> next_{0};  ///< next task index to claim
+    std::vector<std::thread> workers_;  ///< guarded by batch_mu_
+};
+
+}  // namespace
+
+CostSimCacheStats
+cost_sim_cache_stats()
+{
+    return {obs::counter("costsim.cache_hits").value(),
+            obs::counter("costsim.cache_misses").value()};
+}
+
+// Registers the counters and the pool gauge at startup: op=metrics
+// lists them at 0.
+[[maybe_unused]] static const CostSimCacheStats g_registered =
+    (pool_workers_gauge(), cost_sim_cache_stats());
+
+void
+clear_cost_sim_cache()
+{
+    cost_cache().clear();
+}
+
+std::vector<CostResult>
+simulate_cost_batch(const std::vector<CostJob>& jobs, const CostConfig& cfg,
+                    const std::function<bool()>& stop)
+{
+    // Probe in input order. A job whose key an earlier miss of this
+    // batch already has is a repeat: a hit on that miss's result.
+    struct Probe
+    {
+        uint64_t key;
+        bool hit;
+        size_t miss;  ///< index into `misses` of its simulation, if any
+    };
+    std::unordered_map<uint64_t, CostResult>& memo = cost_cache();
+    std::vector<CostResult> out(jobs.size());
+    std::vector<Probe> probes(jobs.size());
+    std::vector<size_t> misses;  ///< job indices, in input order
+    std::unordered_map<uint64_t, size_t> first_miss;  ///< key -> misses[]
+    for (size_t i = 0; i < jobs.size(); i++) {
+        uint64_t key = cost_key(jobs[i].proc, jobs[i].args, cfg);
+        auto it = memo.find(key);
+        if (it != memo.end()) {
+            out[i] = it->second;
+            probes[i] = {key, true, SIZE_MAX};
+            continue;
+        }
+        auto [fm, fresh] = first_miss.emplace(key, misses.size());
+        probes[i] = {key, !fresh, fm->second};
+        if (fresh)
+            misses.push_back(i);
+    }
+
+    std::vector<std::exception_ptr> errors(misses.size());
+    auto simulate = [&](size_t m) {
+        const CostJob& job = jobs[misses[m]];
+        try {
+            out[misses[m]] = run_simulation(job.proc, job.args, cfg);
+        } catch (...) {
+            errors[m] = std::current_exception();
+        }
+    };
+    size_t started = 0;
+    if (misses.size() == 1) {
+        if (!(stop && stop()))
+            simulate(started++);
+    } else if (misses.size() > 1) {
+        started = SimPool::get().run(misses.size(), simulate, stop);
+    }
+
+    // Merge on the calling thread, in input order, up to the first job
+    // left unsimulated.
+    size_t cut = started < misses.size() ? misses[started] : jobs.size();
+    out.resize(cut);
+    for (size_t i = 0; i < cut; i++) {
+        const Probe& pr = probes[i];
+        if (pr.hit)
+            EXO2_COUNT("costsim.cache_hits");
+        else
+            EXO2_COUNT("costsim.cache_misses");
+        if (pr.miss == SIZE_MAX || errors[pr.miss])
+            continue;
+        if (pr.hit)
+            out[i] = out[misses[pr.miss]];  // a repeat
+        else
+            memo.emplace(pr.key, out[i]);
+    }
+    for (size_t m = 0; m < started; m++)
+        if (errors[m])
+            std::rethrow_exception(errors[m]);
+    return out;
+}
+
 CostResult
-simulate_cost_named(const ProcPtr& p,
-                    const std::map<std::string, int64_t>& sizes,
-                    const CostConfig& cfg)
+simulate_cost(const ProcPtr& p, const std::vector<CostArg>& args,
+              const CostConfig& cfg)
+{
+    return simulate_cost_batch({CostJob{p, args}}, cfg)[0];
+}
+
+std::vector<CostArg>
+cost_args_named(const ProcPtr& p, const std::map<std::string, int64_t>& sizes)
 {
     std::vector<CostArg> args;
     for (const auto& formal : p->args()) {
@@ -387,7 +610,15 @@ simulate_cost_named(const ProcPtr& p,
             args.push_back(CostArg::make_scalar(1.0));
         }
     }
-    return simulate_cost(p, args, cfg);
+    return args;
+}
+
+CostResult
+simulate_cost_named(const ProcPtr& p,
+                    const std::map<std::string, int64_t>& sizes,
+                    const CostConfig& cfg)
+{
+    return simulate_cost(p, cost_args_named(p, sizes), cfg);
 }
 
 }  // namespace exo2

@@ -20,6 +20,7 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -99,7 +100,8 @@ struct CostArg
 /**
  * Simulate `p`. `args` supplies size/scalar arguments positionally
  * (buffer arguments are skipped in `args` and allocated internally).
- * Buffers may have at most `kMaxRank` (8) dimensions.
+ * Buffers may have at most `kMaxRank` (8) dimensions. The one-job case
+ * of `simulate_cost_batch`.
  */
 CostResult simulate_cost(const ProcPtr& p, const std::vector<CostArg>& args,
                          const CostConfig& cfg = CostConfig());
@@ -109,6 +111,39 @@ CostResult simulate_cost_named(const ProcPtr& p,
                                const std::map<std::string, int64_t>& sizes,
                                const CostConfig& cfg = CostConfig());
 
+/** The positional arguments `simulate_cost_named` passes: sizes bound
+ *  by name, scalars 1.0. Throws InternalError for a missing size. */
+std::vector<CostArg> cost_args_named(
+    const ProcPtr& p, const std::map<std::string, int64_t>& sizes);
+
+/** One simulation of a batch. */
+struct CostJob
+{
+    ProcPtr proc;
+    std::vector<CostArg> args;
+};
+
+/**
+ * Simulate every job under `cfg`; results come back in input order and
+ * equal what a loop of `simulate_cost` calls would return (DESIGN.md
+ * §6). The memo is probed and filled on the calling thread, in input
+ * order, and a key repeated within the batch counts as a hit, as it
+ * would in that loop. Only the misses are simulated: a single miss on
+ * the calling thread, more on the process-wide pool — one worker
+ * pinned to each CPU of the process's affinity mask, started by the
+ * first batch that needs it, while the caller blocks.
+ *
+ * `stop`, when given, is polled before each simulation starts, from
+ * the pool's workers too, so it must be thread-safe and must not
+ * throw; once it holds, no further simulation starts and the result
+ * is cut before the first job left unsimulated, so it is always a
+ * prefix of `jobs`. Failures are rethrown after every started
+ * simulation has finished: the first in input order.
+ */
+std::vector<CostResult> simulate_cost_batch(
+    const std::vector<CostJob>& jobs, const CostConfig& cfg = CostConfig(),
+    const std::function<bool()>& stop = {});
+
 // -- Result memoization (DESIGN.md §6) ---------------------------------
 //
 // `simulate_cost` memoizes results keyed on (proc_digest, arguments,
@@ -116,8 +151,13 @@ CostResult simulate_cost_named(const ProcPtr& p,
 // identical schedule states through different edit orders, and a
 // digest hit skips the whole simulation. Keys are structural, so the
 // cache can never go stale (simulation depends only on proc structure
-// and inputs). Single-threaded like the analysis memo caches; cleared
-// together with the cursor-accel caches (`clear_cursor_accel_caches`).
+// and inputs). Cleared together with the cursor-accel caches
+// (`clear_cursor_accel_caches`). The memo itself is unsynchronized,
+// like the analysis memo caches: only the calling thread of
+// `simulate_cost_batch` touches it (keys, which compute and cache each
+// proc's digest, included), and the pool's workers only simulate.
+// Callers on different threads must not overlap (the daemon holds its
+// engine lock around every tune).
 
 /** Hit/miss counts, reported alongside `cursor_accel_stats()`: a
  *  snapshot of the `costsim.cache_*` registry counters. */
@@ -128,6 +168,12 @@ struct CostSimCacheStats
 };
 
 CostSimCacheStats cost_sim_cache_stats();
+
+// The `costsim.pool_workers` registry gauge holds the number of
+// workers the last pooled batch ran on: 0 until a batch first needs
+// the pool. A fork joins the workers first (a pthread_atfork handler),
+// and the next batch that needs them, in parent or child, starts them
+// again.
 
 /** Drop every memoized cost result. */
 void clear_cost_sim_cache();

@@ -69,6 +69,11 @@ struct Registry
 {
     std::mutex mu;
     std::vector<std::shared_ptr<Ring>> rings;
+    /** Rings of exited threads, handed to the next new thread (spans
+     *  and track id included): the cost simulator's pool restarts its
+     *  workers after every fork, and a ring per thread ever started
+     *  would grow the registry without bound. */
+    std::vector<std::shared_ptr<Ring>> free_rings;
     uint32_t next_tid = 1;
     size_t ring_cap;
     std::string sink_path;  ///< flushed at exit when non-empty
@@ -85,22 +90,49 @@ registry()
     return *r;
 }
 
-thread_local std::shared_ptr<Ring> t_ring;
+/** The calling thread's ring, returned to the free list at exit. */
+struct RingSlot
+{
+    std::shared_ptr<Ring> ring;
+
+    ~RingSlot()
+    {
+        if (!ring)
+            return;
+        Registry& reg = registry();
+        std::lock_guard<std::mutex> lk(reg.mu);
+        reg.free_rings.push_back(std::move(ring));
+    }
+};
+
+thread_local RingSlot t_ring;
 
 Ring&
 my_ring()
 {
-    if (!t_ring) {
-        auto ring = std::make_shared<Ring>();
+    if (!t_ring.ring) {
         Registry& reg = registry();
         std::lock_guard<std::mutex> lk(reg.mu);
+        // The most recently freed ring of the current capacity (a
+        // ring's capacity is fixed, and trace_start can change it).
+        auto it = std::find_if(reg.free_rings.rbegin(),
+                               reg.free_rings.rend(),
+                               [&](const std::shared_ptr<Ring>& r) {
+                                   return r->cap == reg.ring_cap;
+                               });
+        if (it != reg.free_rings.rend()) {
+            t_ring.ring = std::move(*it);
+            reg.free_rings.erase(std::next(it).base());
+            return *t_ring.ring;
+        }
+        auto ring = std::make_shared<Ring>();
         ring->tid = reg.next_tid++;
         ring->cap = reg.ring_cap;
         ring->buf.reserve(ring->cap);
         reg.rings.push_back(ring);
-        t_ring = std::move(ring);
+        t_ring.ring = std::move(ring);
     }
-    return *t_ring;
+    return *t_ring.ring;
 }
 
 void

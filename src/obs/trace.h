@@ -15,7 +15,15 @@
  *
  * Span names follow `subsystem.verb` ("tune.round", "cjit.compile",
  * "serve.request") and MUST be string literals — the tracer stores
- * the pointer, not a copy. Dynamic values go in the args list.
+ * the pointer, not a copy. Dynamic values go in the args list. A span
+ * whose arguments are known only at its end is opened by hand, and
+ * its arguments are set before it closes:
+ *
+ *     obs::Span span;
+ *     bool traced = span.open("tune.score");
+ *     ...
+ *     if (traced)
+ *         span.set_args("tune.score", {{"misses", n}});
  *
  * Inside a thread's phase collection, a span whose name phase.h maps
  * to a phase also charges its duration to it, traced or not.
@@ -29,6 +37,9 @@
  * only by its own thread and the flusher), so tracing never contends
  * across threads on the hot path. Rings wrap: a thread keeps its most
  * recent EXO2_TRACE_RING spans and `trace_dropped()` counts the rest.
+ * A ring outlives its thread, spans and all, and passes to the next
+ * thread that starts, so threads that come and go (the cost
+ * simulator's pool workers, cost_sim.h) reuse a bounded set of rings.
  *
  * Export: `EXO2_TRACE=out.json` starts tracing at process start and
  * flushes at exit; `trace_start`/`trace_flush` do the same under

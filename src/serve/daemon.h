@@ -19,9 +19,12 @@
  *        └── stop flag ──────── worker thread pool
  *                                       │ engine mutex (the scheduling
  *                                       │ engine's memo caches are
- *                                       │ single-threaded by design)
+ *                                       │ unsynchronized by design)
  *                                       ▼
  *                               autotune / replay  ──>  response frame
+ *                                       │ a tune's scoring batches
+ *                                       ▼ (cost_sim.h)
+ *                               cost-sim pool: one pinned worker per CPU
  *
  * Robustness posture — every request gets exactly one response and
  * the daemon never dies on a request's behalf:
@@ -188,10 +191,14 @@ class Daemon
      *  one, so telemetry can always attribute a request. */
     std::atomic<uint64_t> req_seq_{0};
 
-    /** The scheduling engine (analysis memo caches, cost-sim cache,
-     *  interning tables) is single-threaded by design (ROADMAP);
-     *  every worker takes this around engine work. Cache I/O, framing,
-     *  and backpressure run outside it. */
+    /** The scheduling engine's caches (analysis memo caches, cost-sim
+     *  memo, interning tables) are unsynchronized by design, so one
+     *  worker at a time drives the engine: every worker takes this
+     *  around engine work. Cache I/O, framing, and backpressure run
+     *  outside it. A tune holding it spreads its cost simulations over
+     *  the cost simulator's process-wide pool (cost_sim.h), whose
+     *  workers touch none of those caches; the other workers wait on
+     *  this lock anyway. */
     std::mutex engine_mu_;
 
     std::thread listener_;

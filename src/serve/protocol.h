@@ -41,12 +41,13 @@
  *   `metrics`: every engine counter (cursor.*, analysis.*,
  *   ir.interner_*, costsim.cache_*, cache.*, prim.rewrites,
  *   cjit.isa_downgrades, faults.fired — listed from startup, at 0
- *   before first use) under "counters", plus gauges and the latency
- *   and per-phase histograms; op=lint — and op=schedule, which lints
- *   at admission —
- *   carry the static-analysis verdict in extra: lint_errors/
- *   lint_warnings/lint_infos/lint_proven/lint_safe plus the full
- *   diagnostic list as JSON under `lint`)
+ *   before first use) under "counters", plus gauges (among them
+ *   costsim.pool_workers, the worker count of the cost simulator's
+ *   last pooled batch) and
+ *   the latency and per-phase histograms; op=lint — and op=schedule,
+ *   which lints at admission — carry the static-analysis verdict in
+ *   extra: lint_errors/lint_warnings/lint_infos/lint_proven/lint_safe
+ *   plus the full diagnostic list as JSON under `lint`)
  *
  * Telemetry extras on every response: request_id (the request's id,
  *   daemon-assigned when the client sent none) and — for queued work

@@ -217,15 +217,40 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
 
     TuneSpace space = default_space(machine, opts.precision, opts.cost);
 
-    auto score = [&](const ProcPtr& q) {
-        result.stats.states_scored++;
-        return simulate_cost_named(q, opts.tune_sizes, opts.cost).cycles;
+    // Score `states` as one batch (DESIGN.md §6): the misses simulate in
+    // parallel, the results come back in order, and the deadline stops
+    // it within about one simulation. Returns how many states, from the
+    // front, were scored.
+    auto score = [&](std::vector<State>& states) -> size_t {
+        if (states.empty())
+            return 0;
+        obs::Span span;
+        bool traced = span.open("tune.score");
+        uint64_t misses0 = cost_sim_cache_stats().misses;
+        std::vector<CostJob> jobs;
+        jobs.reserve(states.size());
+        for (const State& st : states)
+            jobs.push_back(
+                {st.proc, cost_args_named(st.proc, opts.tune_sizes)});
+        std::vector<CostResult> costs =
+            simulate_cost_batch(jobs, opts.cost, past_deadline);
+        for (size_t i = 0; i < costs.size(); i++)
+            states[i].cost = costs[i].cycles;
+        result.stats.states_scored += static_cast<int>(costs.size());
+        if (traced) {
+            span.set_args(
+                "tune.score",
+                {{"states", static_cast<int>(costs.size())},
+                 {"misses", cost_sim_cache_stats().misses - misses0}});
+        }
+        return costs.size();
     };
 
     State init;
     init.proc = p;
-    init.cost = score(p);
     init.digest = proc_digest(p);
+    init.cost = simulate_cost_named(p, opts.tune_sizes, opts.cost).cycles;
+    result.stats.states_scored++;
     result.naive_cost = init.cost;
 
     size_t pool_cap = static_cast<size_t>(
@@ -262,6 +287,7 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
         return *storage;
     };
 
+    /** Append `st`'s unseen children to `out`, unscored. */
     auto expand = [&](const State& st, std::vector<State>* out) {
         // A state that survived a round was already expanded then; all
         // its children are in `seen`, so re-enumerating (re-applying
@@ -271,10 +297,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
         std::vector<TuneAction> storage;
         const std::vector<TuneAction>& actions = actions_for(st, &storage);
         for (const TuneAction& a : actions) {
-            if (past_deadline()) {
-                result.degraded = true;
-                return;
-            }
             uint64_t d = proc_digest(a.result);
             if (!seen.insert(d).second) {
                 result.stats.dedup_skips++;
@@ -284,9 +306,7 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
             ns.proc = a.result;
             ns.script = st.script;
             ns.script.push_back(a.step);
-            ns.cost = score(a.result);
             ns.digest = d;
-            pool.offer(ns);
             out->push_back(std::move(ns));
         }
     };
@@ -301,9 +321,25 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
             result.degraded = true;
             break;
         }
+        // The round's children are enumerated first and scored as one
+        // batch. Enumeration reads nothing scoring writes, so offering
+        // them in enumeration order repeats the serial search exactly.
+        std::vector<State> children;
+        for (const State& st : beam) {
+            if (past_deadline()) {
+                result.degraded = true;
+                break;
+            }
+            expand(st, &children);
+        }
+        size_t scored = score(children);
+        if (scored < children.size())
+            result.degraded = true;
         std::vector<State> candidates = beam;
-        for (const State& st : beam)
-            expand(st, &candidates);
+        for (size_t i = 0; i < scored; i++) {
+            pool.offer(children[i]);
+            candidates.push_back(std::move(children[i]));
+        }
         std::stable_sort(candidates.begin(), candidates.end(),
                          state_less);
         if (candidates.size() >
@@ -343,24 +379,33 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
             std::vector<TuneAction> storage;
             const std::vector<TuneAction>& actions =
                 actions_for(cur, &storage);
-            State best_next;
-            double best_noisy =
-                std::numeric_limits<double>::infinity();
+            std::vector<State> next;
+            next.reserve(actions.size());
             for (const TuneAction& a : actions) {
-                uint64_t d = proc_digest(a.result);
                 State ns;
                 ns.proc = a.result;
                 ns.script = cur.script;
                 ns.script.push_back(a.step);
-                ns.cost = score(a.result);  // cache-hit if seen before
-                ns.digest = d;
-                if (seen.insert(d).second)
+                ns.digest = proc_digest(a.result);
+                next.push_back(std::move(ns));
+            }
+            size_t scored = score(next);  // cache hits if seen before
+            State best_next;
+            double best_noisy =
+                std::numeric_limits<double>::infinity();
+            for (size_t i = 0; i < scored; i++) {
+                State& ns = next[i];
+                if (seen.insert(ns.digest).second)
                     pool.offer(ns);
                 double noisy = ns.cost * (1.0 + 0.25 * rng.unit());
                 if (noisy < best_noisy) {
                     best_noisy = noisy;
                     best_next = std::move(ns);
                 }
+            }
+            if (scored < next.size()) {
+                result.degraded = true;
+                break;
             }
             if (!best_next.proc)
                 break;

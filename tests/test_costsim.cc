@@ -1,15 +1,21 @@
 /**
  * @file
  * Cost-simulator tests: cycle accounting, cache behaviour (locality is
- * rewarded), instruction costs, and the relative-performance
- * properties the benchmark figures rely on.
+ * rewarded), instruction costs, the relative-performance properties
+ * the benchmark figures rely on, and batches (the same results and memo
+ * traffic as a loop of single simulations).
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
+
+#include <atomic>
 
 #include "src/frontend/parser.h"
+#include "src/ir/errors.h"
 #include "src/kernels/blas.h"
 #include "src/machine/cost_sim.h"
+#include "src/obs/metrics.h"
 #include "src/sched/blas.h"
 
 namespace exo2 {
@@ -418,6 +424,190 @@ def f(x: f32[4] @ DRAM, y: f32[4] @ DRAM):
     EXPECT_EQ(w.dram_accesses, 1);
     EXPECT_EQ(w.l1_misses, 0);
     EXPECT_EQ(w.config_writes, 1);
+}
+
+// -- Batches: the same results and memo traffic as a loop ---------------
+
+/** A few differently-shaped kernels, each simulated at n. */
+std::vector<CostJob>
+batch_jobs()
+{
+    ProcPtr stream = parse_proc(R"(
+def stream(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        y[i] = y[i] + 2.0 * x[i]
+)");
+    ProcPtr rows = parse_proc(R"(
+def rows(n: size, A: f32[n, n] @ DRAM, x: f32[n] @ DRAM):
+    for i in seq(0, n):
+        for j in seq(0, n):
+            x[i] += A[i, j]
+)");
+    ProcPtr cols = parse_proc(R"(
+def cols(n: size, A: f32[n, n] @ DRAM, x: f32[n] @ DRAM):
+    for j in seq(0, n):
+        for i in seq(0, n):
+            x[i] += A[i, j]
+)");
+    auto n = [](int64_t v) {
+        return std::vector<CostArg>{CostArg::make_size(v)};
+    };
+    // Memoized before the batch: stream at 64. Repeated within it:
+    // rows at 48 (three times) and cols at 40 (twice).
+    return {{stream, n(64)}, {rows, n(48)},   {cols, n(40)},
+            {rows, n(48)},   {stream, n(96)}, {cols, n(40)},
+            {rows, n(48)},   {stream, n(64)}, {cols, n(56)}};
+}
+
+void
+expect_same(const CostResult& a, const CostResult& b, size_t i)
+{
+    EXPECT_EQ(a.cycles, b.cycles) << "job " << i;
+    EXPECT_EQ(a.instr_calls, b.instr_calls) << "job " << i;
+    EXPECT_EQ(a.config_writes, b.config_writes) << "job " << i;
+    EXPECT_EQ(a.dram_accesses, b.dram_accesses) << "job " << i;
+    EXPECT_EQ(a.l1_misses, b.l1_misses) << "job " << i;
+    EXPECT_EQ(a.l2_misses, b.l2_misses) << "job " << i;
+}
+
+CostSimCacheStats
+delta(const CostSimCacheStats& from)
+{
+    CostSimCacheStats now = cost_sim_cache_stats();
+    return {now.hits - from.hits, now.misses - from.misses};
+}
+
+int64_t
+cpus_in_affinity_mask()
+{
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof(mask), &mask) != 0)
+        return 1;
+    return CPU_COUNT(&mask);
+}
+
+TEST(CostSimBatch, MatchesALoopOfSimulateCost)
+{
+    std::vector<CostJob> jobs = batch_jobs();
+    obs::Gauge& workers = obs::gauge("costsim.pool_workers");
+    EXPECT_NE(obs::metrics_json().find("\"costsim.pool_workers\""),
+              std::string::npos);
+
+    clear_cost_sim_cache();
+    simulate_cost(jobs[0].proc, jobs[0].args);
+    std::vector<CostResult> looped;
+    CostSimCacheStats before = cost_sim_cache_stats();
+    for (const CostJob& j : jobs)
+        looped.push_back(simulate_cost(j.proc, j.args));
+    CostSimCacheStats loop_delta = delta(before);
+
+    clear_cost_sim_cache();
+    int64_t workers_before = workers.value();
+    simulate_cost(jobs[0].proc, jobs[0].args);
+    EXPECT_EQ(workers.value(), workers_before)
+        << "a single miss runs on the calling thread";
+    before = cost_sim_cache_stats();
+    std::vector<CostResult> batched = simulate_cost_batch(jobs);
+    CostSimCacheStats batch_delta = delta(before);
+
+    ASSERT_EQ(batched.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); i++)
+        expect_same(batched[i], looped[i], i);
+    EXPECT_EQ(batch_delta.hits, loop_delta.hits);
+    EXPECT_EQ(batch_delta.misses, loop_delta.misses);
+    EXPECT_EQ(batch_delta.hits, 5u);    // stream 64 twice, 3 repeats
+    EXPECT_EQ(batch_delta.misses, 4u);  // rows 48, cols 40/56, stream 96
+    EXPECT_EQ(workers.value(), cpus_in_affinity_mask());
+
+    // The batch filled the memo: the same batch again is all hits.
+    before = cost_sim_cache_stats();
+    std::vector<CostResult> again = simulate_cost_batch(jobs);
+    EXPECT_EQ(delta(before).hits, jobs.size());
+    EXPECT_EQ(delta(before).misses, 0u);
+    for (size_t i = 0; i < jobs.size(); i++)
+        expect_same(again[i], looped[i], i);
+}
+
+TEST(CostSimBatch, RethrowsTheFirstFailureInInputOrder)
+{
+    // Two procs that fail with different messages (a size argument is
+    // missing), between jobs that succeed.
+    std::vector<CostJob> jobs = batch_jobs();
+    ProcPtr two = parse_proc(R"(
+def two(n: size, m: size, x: f32[n, m] @ DRAM):
+    for i in seq(0, n):
+        x[i, 0] = 1.0
+)");
+    jobs.insert(jobs.begin() + 3, CostJob{two, {}});
+    jobs.insert(jobs.begin() + 6, CostJob{two, {CostArg::make_size(8)}});
+
+    clear_cost_sim_cache();
+    simulate_cost(jobs[0].proc, jobs[0].args);
+    CostSimCacheStats before = cost_sim_cache_stats();
+    std::string loop_error;
+    for (const CostJob& j : jobs) {
+        try {
+            simulate_cost(j.proc, j.args);
+        } catch (const InternalError& e) {
+            if (loop_error.empty())
+                loop_error = e.what();
+        }
+    }
+    CostSimCacheStats loop_delta = delta(before);
+    ASSERT_NE(loop_error.find("missing argument for n"), std::string::npos)
+        << loop_error;
+
+    clear_cost_sim_cache();
+    simulate_cost(jobs[0].proc, jobs[0].args);
+    before = cost_sim_cache_stats();
+    std::string batch_error;
+    try {
+        simulate_cost_batch(jobs);
+    } catch (const InternalError& e) {
+        batch_error = e.what();
+    }
+    CostSimCacheStats batch_delta = delta(before);
+    EXPECT_EQ(batch_error, loop_error);
+    EXPECT_EQ(batch_delta.hits, loop_delta.hits);
+    EXPECT_EQ(batch_delta.misses, loop_delta.misses);
+
+    // Every job that succeeded is memoized, as after the loop.
+    before = cost_sim_cache_stats();
+    std::vector<CostJob> ok = batch_jobs();
+    simulate_cost_batch(ok);
+    EXPECT_EQ(delta(before).hits, ok.size());
+}
+
+TEST(CostSimBatch, StopCutsTheResultToAPrefix)
+{
+    std::vector<CostJob> jobs = batch_jobs();
+    clear_cost_sim_cache();
+    simulate_cost(jobs[0].proc, jobs[0].args);
+    // Stopped before anything starts: the result ends before the first
+    // miss, and only the memo hit in front of it is counted.
+    CostSimCacheStats before = cost_sim_cache_stats();
+    std::vector<CostResult> none =
+        simulate_cost_batch(jobs, CostConfig(), [] { return true; });
+    EXPECT_EQ(none.size(), 1u);
+    EXPECT_EQ(delta(before).hits, 1u);
+    EXPECT_EQ(delta(before).misses, 0u);
+
+    // Stopped after two claims, by whichever workers make them: rows 48
+    // and cols 40 run, so the result ends before stream 96 (job 4), and
+    // the rows 48 repeat in front of it is a hit.
+    std::atomic<int> polls{0};
+    before = cost_sim_cache_stats();
+    std::vector<CostResult> two = simulate_cost_batch(
+        jobs, CostConfig(), [&] { return polls.fetch_add(1) >= 2; });
+    ASSERT_EQ(two.size(), 4u);
+    EXPECT_EQ(delta(before).hits, 2u);
+    EXPECT_EQ(delta(before).misses, 2u);
+    expect_same(two[3], two[1], 3);
+
+    // What ran is memoized; what did not runs now.
+    before = cost_sim_cache_stats();
+    EXPECT_EQ(simulate_cost_batch(jobs).size(), jobs.size());
+    EXPECT_EQ(delta(before).misses, 2u);
 }
 
 }  // namespace

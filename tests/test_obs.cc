@@ -24,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <new>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -343,6 +344,29 @@ TEST_F(ObsTest, RingWrapKeepsRecentSpansAndCountsDrops)
     trace_stop();
     EXPECT_LE(trace_span_count(), 64u);
     EXPECT_EQ(trace_span_count() + trace_dropped(), 1000u);
+}
+
+TEST_F(ObsTest, ThreadsThatComeAndGoReuseOneRing)
+{
+    // Each thread starts after the last one exited, so each takes over
+    // its predecessor's ring: one track, every span kept.
+    trace_start("", 128);
+    for (int i = 0; i < 20; i++) {
+        std::thread([i] { EXO2_SPAN("test.reuse", {{"i", i}}); }).join();
+    }
+    trace_stop();
+    std::string json = trace_json();
+    std::set<std::string> tids;
+    size_t spans = 0;
+    for (size_t at = json.find("\"test.reuse\""); at != std::string::npos;
+         at = json.find("\"test.reuse\"", at + 1)) {
+        spans++;
+        size_t t = json.find("\"tid\":", at);
+        ASSERT_NE(t, std::string::npos);
+        tids.insert(json.substr(t, json.find_first_of(",}", t) - t));
+    }
+    EXPECT_EQ(spans, 20u);
+    EXPECT_EQ(tids.size(), 1u);
 }
 
 TEST_F(ObsTest, TraceJsonIsWellFormedAndEscapes)
@@ -732,6 +756,9 @@ TEST_F(ObsTest, EngineCountersAreRegisteredRegistryCounters)
                   std::string::npos)
             << name << " in " << counters;
     }
+    // So is the cost simulator's pool size, before any batch needs it.
+    EXPECT_NE(js.find("\"costsim.pool_workers\":", hi), std::string::npos)
+        << js.substr(hi);
 }
 
 // ---------------------------------------------------------------------------

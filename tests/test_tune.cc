@@ -9,7 +9,16 @@
  */
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <stdexcept>
+#include <thread>
+
+#include "src/analysis/memo.h"
+#include "src/cursor/accel.h"
 #include "src/frontend/parser.h"
 #include "src/ir/errors.h"
 #include "src/ir/printer.h"
@@ -304,6 +313,138 @@ TEST(TuneSearch, JitRerankSmoke)
     EXPECT_GT(r.measured_seconds, 0.0);
     EXPECT_EQ(proc_digest(tune::replay_script(p, r.script)),
               proc_digest(r.best));
+}
+
+// -- Satellite: parallel scoring keeps the search bit-identical ---------
+
+/** The library blur with 8x64 divisibility assertions (the benchsuite's
+ *  tune_search blur), so it tunes at 8x64. */
+ProcPtr
+small_blur()
+{
+    std::string src = print_proc(kernels::blur());
+    for (auto [from, to] : {std::pair<std::string, std::string>{
+                                "H % 32 == 0", "H % 8 == 0"},
+                            {"W % 256 == 0", "W % 64 == 0"}}) {
+        size_t pos = src.find(from);
+        if (pos == std::string::npos)
+            throw std::runtime_error("blur source lacks '" + from + "'");
+        src.replace(pos, from.size(), to);
+    }
+    return parse_proc(src);
+}
+
+/** A tune_search-shaped search: beam 3, 4 rounds, one restart, fixed
+ *  seed, cost model only, no validation (the search does not read it). */
+tune::TuneResult
+tune_search_shaped(const ProcPtr& p, const verify::SizeEnv& sizes)
+{
+    TuneOpts o;
+    o.tune_sizes = sizes;
+    o.beam_width = 3;
+    o.max_rounds = 4;
+    o.random_restarts = 1;
+    o.seed = 1;
+    o.jit_topk = 0;
+    o.validate = false;
+    o.use_cache = false;
+    clear_cost_sim_cache();
+    clear_cursor_accel_caches();
+    clear_analysis_memo();
+    return tune::autotune(p, machine_avx2(), o);
+}
+
+TEST(TunePinned, TuneSearchKernelsMatchTheSerialSearch)
+{
+    // Recorded with the serial scorer, which simulated one state at a
+    // time in enumeration order. Batched scoring on the pool must give
+    // the same winner, cost, state count and memo traffic for any
+    // worker count; ctest also runs this case under `taskset -c 0`.
+    struct Pinned
+    {
+        const char* name;
+        ProcPtr proc;
+        verify::SizeEnv sizes;
+        const char* script;
+        double cost;
+        int states;
+        uint64_t hits, misses;
+    };
+    const Pinned cases[] = {
+        {"saxpy", kernels::find_kernel("saxpy").proc, {{"n", 1024}},
+         "t_vectorize[0,1;AVX2,f32]\nt_interleave[0,2]\n"
+         "t_interleave[0,4]\n",
+         848, 250, 46, 204},
+        {"sdot", kernels::find_kernel("sdot").proc, {{"n", 1024}},
+         "t_vectorize[0,0;AVX2,f32]\nt_interleave[0,2]\n"
+         "t_interleave[0,4]\n",
+         533.5, 245, 43, 202},
+        {"sgemv_n", kernels::find_kernel("sgemv_n").proc,
+         {{"M", 48}, {"N", 48}},
+         "t_uaj[0,4]\nt_vectorize[1,0;AVX2,f32]\n", 1500, 432, 67, 365},
+        {"sgemm", kernels::sgemm(), {{"M", 16}, {"N", 16}, {"K", 16}},
+         "t_uaj[1,4]\nt_vectorize[2,1;AVX2,f32]\n", 3792, 530, 101, 429},
+        {"blur", small_blur(), {{"H", 8}, {"W", 64}},
+         "t_vectorize[1,0;AVX2,f32]\nt_vectorize[4,0;AVX2,f32]\n"
+         "t_interleave[1,4]\nt_interleave[5,4]\n",
+         1494, 853, 79, 774},
+    };
+    for (const Pinned& c : cases) {
+        tune::TuneResult r = tune_search_shaped(c.proc, c.sizes);
+        std::string script = verify::script_to_string(r.script);
+        EXPECT_EQ(script, c.script) << c.name;
+        EXPECT_EQ(r.cost, c.cost) << c.name;
+        EXPECT_EQ(r.stats.states_scored, c.states) << c.name;
+        EXPECT_EQ(r.stats.cost_cache_hits, c.hits) << c.name;
+        EXPECT_EQ(r.stats.cost_cache_misses, c.misses) << c.name;
+    }
+}
+
+TEST(TunePool, ForkedChildTunesAgain)
+{
+    // Regression: a child forked after a tune had started the scoring
+    // pool waited forever on its first batch, for workers that existed
+    // only in the parent. A pthread_atfork handler now joins them
+    // before every fork; the child's first batch starts its own.
+    ProcPtr p = kernels::find_kernel("sgemv_n").proc;
+    verify::SizeEnv sizes = {{"M", 48}, {"N", 48}};
+    std::string want =
+        verify::script_to_string(tune_search_shaped(p, sizes).script);
+    obs::Gauge& workers = obs::gauge("costsim.pool_workers");
+    ASSERT_GT(workers.value(), 0) << "the tune never used the pool";
+
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        close(fds[0]);
+        clear_cost_sim_cache();
+        std::string got =
+            verify::script_to_string(tune_search_shaped(p, sizes).script);
+        ssize_t n = write(fds[1], got.data(), got.size());
+        _exit(n == static_cast<ssize_t>(got.size()) ? 0 : 1);
+    }
+    close(fds[1]);
+    int status = 0;
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (waitpid(pid, &status, WNOHANG) == 0) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            kill(pid, SIGKILL);
+            waitpid(pid, &status, 0);
+            close(fds[0]);
+            FAIL() << "the forked child's tune did not finish";
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    std::string got;
+    char buf[4096];
+    for (ssize_t n; (n = read(fds[0], buf, sizeof(buf))) > 0;)
+        got.append(buf, static_cast<size_t>(n));
+    close(fds[0]);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    EXPECT_EQ(got, want);
 }
 
 // -- Machine cost-query surface -----------------------------------------
