@@ -9,14 +9,14 @@
  * tri-oracle-clean and bit-for-bit replayable from its emitted script.
  *
  * Usage: bench_autotune [output.json]
- *        bench_autotune --smoke   (one small kernel end-to-end, for
- *                                  scripts/check_autotune.sh)
+ *        bench_autotune --smoke   (one small kernel end-to-end; the
+ *                                  autotune_smoke gate)
  *        bench_autotune --faults  (tune all five kernels with reduced
  *                                  budgets under the EXO2_FAULTS
  *                                  injection spec; exits 0 iff every
  *                                  tune returns a validated, replayable
  *                                  winner and faults actually fired —
- *                                  for scripts/check_faults.sh)
+ *                                  the fault_injection.<class> gates)
  *
  * The JIT honours EXO2_NATIVE_ISA; this benchmark sets it to "auto"
  * (unless already set) so both the tuner's measured refinement and the

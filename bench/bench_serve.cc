@@ -16,8 +16,8 @@
  *
  * Usage: bench_serve [output.json]
  *        bench_serve --faults   (reduced budgets, spec from EXO2_FAULTS,
- *                                vacuity-checked; for
- *                                scripts/check_serve.sh)
+ *                                vacuity-checked; the
+ *                                serve_faults.<pass> gates)
  */
 
 #include <signal.h>
@@ -283,7 +283,7 @@ const FaultPhase kFaultPhases[] = {
 
 /** --faults mode: the externally-supplied EXO2_FAULTS spec drives a
  *  multi-client hammer plus a kill -9/restart, vacuity-checked. Used
- *  by scripts/check_serve.sh. */
+ *  by the serve_faults.<pass> gates. */
 int
 run_fault_mode()
 {

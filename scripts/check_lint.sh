@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Lint soundness gate, ctest-invocable (see CMakeLists
-# EXO2_ENABLE_LINT): the static analyzer's full acceptance sweep.
+# Lint soundness gate, the `lint_soundness` ctest (`ctest -C gates -L
+# '^lint$'`, see CMakeLists.txt): the static analyzer's full acceptance
+# sweep.
 #
 #   1. exo2lint --all over every registry kernel plus the demo
 #      kernels: zero Error-level findings, and the run must prove at
@@ -18,11 +19,6 @@ set -euo pipefail
 test_lint="${1:?usage: check_lint.sh <test_lint> <exo2lint> [seeds]}"
 exo2lint="${2:?usage: check_lint.sh <test_lint> <exo2lint> [seeds]}"
 seeds="${3:-40}"
-
-# The fuzz sweep's tri-oracle JITs through $CC (default cc); pin it so
-# the gate exercises the same toolchain as the rest of CI.
-: "${CC:=cc}"
-export CC
 
 echo "=== exo2lint --all (registry + demo kernels) ==="
 out="$("$exo2lint" --all)"

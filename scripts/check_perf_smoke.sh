@@ -1,19 +1,14 @@
 #!/usr/bin/env bash
-# Perf smoke check, ctest-invocable (see CMakeLists EXO2_ENABLE_PERF_SMOKE):
-# run the long-schedule benchmark once and fail if BM_LongSchedule/800 is
-# more than 2x slower than the accelerated baseline recorded in
-# BENCH_schedule_time.json.
+# Perf smoke check, the `perf_smoke` ctest (`ctest -C gates -L '^perf$'`,
+# see CMakeLists.txt): run the long-schedule benchmark once and fail if
+# BM_LongSchedule/800 is more than 2x slower than the accelerated
+# baseline recorded in BENCH_schedule_time.json.
 #
 # Usage: scripts/check_perf_smoke.sh <bench_schedule_time binary> [traj.json]
 set -euo pipefail
 
 bench="${1:?usage: check_perf_smoke.sh <bench_schedule_time binary> [traj.json]}"
 
-# The benchmark binaries JIT-compile generated kernels in-process
-# (src/verify/cjit.cc honors $CC, default cc); pin and export it so the
-# smoke check exercises the same toolchain as the rest of CI.
-: "${CC:=cc}"
-export CC
 traj="${2:-$(cd "$(dirname "$0")/.." && pwd)/BENCH_schedule_time.json}"
 raw=$(mktemp /tmp/exo2_perf_smoke.XXXXXX.json)
 trap 'rm -f "$raw"' EXIT

@@ -20,6 +20,17 @@ namespace tune {
 
 namespace {
 
+/** `t_interleave` and `t_uaj` factors. */
+constexpr int kInterleaveFactors[] = {2, 4};
+constexpr int kJamFactors[] = {2, 4};
+/** `t_unroll` only fires on constant trip counts <= this. */
+constexpr int64_t kUnrollMaxTrip = 8;
+/** `t_interleave` only fires on loops with at most this many direct
+ *  body statements, and `t_uaj` on nests of at most this many
+ *  statements (see enumerate_actions). */
+constexpr size_t kMaxInterleaveBody = 16;
+constexpr size_t kMaxUajStmts = 8;
+
 /** Pre-order site walk (the ordinal space of tuner steps). */
 struct Sites
 {
@@ -166,8 +177,6 @@ default_space(const Machine& machine, ScalarType precision,
                       t) == sp.divide_factors.end())
             sp.divide_factors.push_back(t);
     }
-    sp.interleave_factors = {2, 4};
-    sp.jam_factors = {2, 4};
     return sp;
 }
 
@@ -272,8 +281,7 @@ enumerate_actions(const ProcPtr& p, const Machine& machine,
         // Vectorize innermost compute loops (the combinator internally
         // re-bases, divides by the vector width, stages, fissions, and
         // replaces with machine instructions).
-        if (space.enable_vectorize && !sh.has_inner_for &&
-            !sh.has_call && sh.has_write) {
+        if (!sh.has_inner_for && !sh.has_call && sh.has_write) {
             consider({"t_vectorize",
                       {l, 0},
                       {machine.name(), type_name(precision)}});
@@ -285,23 +293,20 @@ enumerate_actions(const ProcPtr& p, const Machine& machine,
         }
 
         // Tile: divide by register multiples and cache-tile sides.
-        if (space.enable_divide) {
-            for (int64_t f : space.divide_factors) {
-                if (f < 2 || (trip >= 0 && trip <= f))
-                    continue;
-                std::string io = fresh_in(p, loop->iter() + "o");
-                std::string ii = fresh_in(p, loop->iter() + "i");
-                consider({"t_divide", {l, f, 0}, {io, ii}});
-            }
+        for (int64_t f : space.divide_factors) {
+            if (f < 2 || (trip >= 0 && trip <= f))
+                continue;
+            std::string io = fresh_in(p, loop->iter() + "o");
+            std::string ii = fresh_in(p, loop->iter() + "i");
+            consider({"t_divide", {l, f, 0}, {io, ii}});
         }
 
-        if (space.enable_reorder && loop->body().size() == 1 &&
+        if (loop->body().size() == 1 &&
             loop->body()[0]->kind() == StmtKind::For) {
             consider({"t_reorder", {l}, {}});
         }
 
-        if (space.enable_unroll && trip >= 2 &&
-            trip <= space.unroll_max_trip) {
+        if (trip >= 2 && trip <= kUnrollMaxTrip) {
             consider({"t_unroll", {l}, {}});
         }
 
@@ -309,28 +314,26 @@ enumerate_actions(const ProcPtr& p, const Machine& machine,
         // The body-size cap stops the search from stacking interleaves
         // into unbounded unrolling (the cost model prices the saved
         // loop overhead but not the instruction-cache footprint).
-        if (space.enable_interleave && sh.has_call && !sh.has_inner_for &&
-            loop->body().size() <= space.max_interleave_body) {
-            for (int f : space.interleave_factors) {
+        if (sh.has_call && !sh.has_inner_for &&
+            loop->body().size() <= kMaxInterleaveBody) {
+            for (int f : kInterleaveFactors) {
                 if (trip >= 0 && trip <= f)
                     continue;
                 consider({"t_interleave", {l, f}, {}});
             }
         }
 
-        if (space.enable_cse && !sh.has_call)
+        if (!sh.has_call)
             consider({"t_cse", {l}, {}});
 
-        if (space.enable_licm)
-            consider({"t_licm", {l}, {}});
+        consider({"t_licm", {l}, {}});
 
         // Unroll-and-jam batches outer iterations into the inner loop
         // for input reuse. The subtree cap stops jam-stacking (jamming
         // an already-jammed nest multiplies body size; the cost model
         // sees the saved loads but not the register pressure).
-        if (space.enable_uaj && sh.has_inner_for &&
-            sh.stmt_count <= space.max_uaj_stmts) {
-            for (int f : space.jam_factors) {
+        if (sh.has_inner_for && sh.stmt_count <= kMaxUajStmts) {
+            for (int f : kJamFactors) {
                 if (trip >= 0 && trip <= f)
                     continue;
                 consider({"t_uaj", {l, f}, {}});
@@ -338,11 +341,9 @@ enumerate_actions(const ProcPtr& p, const Machine& machine,
         }
     }
 
-    if (space.enable_lift_alloc) {
-        for (size_t ai = 0; ai < w.allocs.size(); ai++) {
-            consider({"t_lift_alloc", {static_cast<int64_t>(ai), 1}, {}});
-            consider({"t_lift_alloc", {static_cast<int64_t>(ai), 2}, {}});
-        }
+    for (size_t ai = 0; ai < w.allocs.size(); ai++) {
+        consider({"t_lift_alloc", {static_cast<int64_t>(ai), 1}, {}});
+        consider({"t_lift_alloc", {static_cast<int64_t>(ai), 2}, {}});
     }
 
     return out;

@@ -89,21 +89,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
         throw SchedulingError("autotune: null proc");
 
     TuneOpts opts = opts_in;
-    opts.beam_width = static_cast<int>(
-        util::env_int("EXO2_TUNE_BEAM", opts.beam_width, 1, 1000000));
-    opts.max_rounds = static_cast<int>(util::env_int(
-        "EXO2_TUNE_ROUNDS", opts.max_rounds, 0, 1000000));
-    opts.random_restarts = static_cast<int>(util::env_int(
-        "EXO2_TUNE_RESTARTS", opts.random_restarts, 0, 1000000));
-    opts.jit_topk = static_cast<int>(util::env_int(
-        "EXO2_TUNE_JIT_TOPK", opts.jit_topk, 0, 1000000));
-    opts.seed = static_cast<uint64_t>(util::env_int(
-        "EXO2_TUNE_SEED", static_cast<int64_t>(opts.seed), 0,
-        std::numeric_limits<int64_t>::max()));
-    opts.deadline_seconds =
-        util::env_double("EXO2_TUNE_DEADLINE", opts.deadline_seconds,
-                         0.0, 1e9);
-    opts.lint = util::env_flag("EXO2_TUNE_LINT", opts.lint);
     bool verbose = util::env_flag("EXO2_TUNE_VERBOSE", false);
     if (opts.beam_width < 1)
         opts.beam_width = 1;
@@ -463,7 +448,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
                             ranked.size());
         std::vector<std::pair<double, size_t>> order;
         verify::SandboxLimits limits = verify::SandboxLimits::defaults();
-        bool sandboxed = verify::sandbox_enabled();
         for (size_t i = 0; i < k; i++) {
             if (past_deadline()) {
                 // Skip the remaining measurements; the states already
@@ -482,26 +466,19 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
                 // Candidates are untrusted generated code: measure in
                 // the fault sandbox so a kernel that SIGSEGVs or never
                 // terminates is scored infeasible — the search keeps
-                // going — instead of killing the tuner. EXO2_SANDBOX=0
-                // selects the trusted in-process fast path.
-                double per;
-                if (sandboxed) {
-                    verify::TimedOutcome to = cp.time_per_call_sandboxed(
-                        in.args, 0.05, 100000, limits);
-                    if (!to.ok) {
-                        result.stats.jit_faults++;
-                        if (verbose) {
-                            std::cerr << "autotune[" << p->name()
-                                      << "] jit rank " << i
-                                      << " faulted: "
-                                      << to.fault.to_string() << "\n";
-                        }
-                        continue;
+                // going — instead of killing the tuner.
+                verify::TimedOutcome to = cp.time_per_call_sandboxed(
+                    in.args, 0.05, 100000, limits);
+                if (!to.ok) {
+                    result.stats.jit_faults++;
+                    if (verbose) {
+                        std::cerr << "autotune[" << p->name()
+                                  << "] jit rank " << i << " faulted: "
+                                  << to.fault.to_string() << "\n";
                     }
-                    per = to.seconds_per_call;
-                } else {
-                    per = cp.time_per_call(in.args, 0.05, 100000);
+                    continue;
                 }
+                double per = to.seconds_per_call;
                 measured[i] = per;
                 order.emplace_back(per, i);
                 result.stats.jit_measured++;

@@ -16,10 +16,8 @@
  * serialization the verification fuzzer records, so a tuning result
  * is reproducible from text alone.
  *
- * Environment overrides (all optional, applied on top of TuneOpts;
- * see DESIGN.md §6): EXO2_TUNE_BEAM, EXO2_TUNE_ROUNDS,
- * EXO2_TUNE_RESTARTS, EXO2_TUNE_JIT_TOPK, EXO2_TUNE_SEED,
- * EXO2_TUNE_VERBOSE, EXO2_TUNE_DEADLINE.
+ * `TuneOpts` alone sets the search; the environment never overrides
+ * it. EXO2_TUNE_VERBOSE=1 traces the search on stderr.
  *
  * Persistence (DESIGN.md §8): when EXO2_CACHE_DIR is set, validated
  * winners are published to the on-disk tuning cache keyed on
@@ -84,8 +82,7 @@ struct TuneOpts
      *  out-of-bounds accesses, parallel loops carrying a dependence —
      *  are pruned without paying for a compile. Sound rewrites never
      *  trip it, so winners are unchanged; it is defense-in-depth
-     *  against engine bugs and costs ~nothing (pool is tiny). Env
-     *  override: EXO2_TUNE_LINT=0 disables. */
+     *  against engine bugs and costs ~nothing (pool is tiny). */
     bool lint = true;
 
     // -- Validation ------------------------------------------------------
@@ -102,7 +99,7 @@ struct TuneOpts
      *  remaining JIT measurements, validates only the current leader,
      *  and returns best-so-far with `TuneResult::degraded` set — a
      *  deadline produces a usable (if weaker) schedule, never an
-     *  error. Env override: EXO2_TUNE_DEADLINE. */
+     *  error. */
     double deadline_seconds = 0.0;
     /** Consult/fill the persistent tuning cache when EXO2_CACHE_DIR is
      *  set (cache.h). Off = this call neither reads nor publishes. */

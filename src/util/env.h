@@ -17,12 +17,11 @@
  *    instead of running with a nonsense limit.
  *
  * Knobs consolidated here: EXO2_CJIT_TIMEOUT, EXO2_SANDBOX_WALL,
- * EXO2_SANDBOX, EXO2_TUNE_* (beam/rounds/restarts/topk/seed/verbose),
- * EXO2_CACHE_DIR, EXO2_VERBOSE_DOWNGRADES, the JIT's CC, and the
- * EXO2_SERVE_* family (workers, queue, deadline). EXO2_FAULTS keeps
- * its own structured parser
- * (sandbox.h: parse_fault_spec) and EXO2_NATIVE_ISA its enum
- * validation (cjit.h), both already strict.
+ * EXO2_TUNE_VERBOSE, EXO2_CACHE_DIR, EXO2_VERBOSE_DOWNGRADES,
+ * EXO2_TRACE, EXO2_TRACE_RING, the JIT's CC, and the EXO2_SERVE_*
+ * family (socket, workers, queue, deadline, retries). EXO2_FAULTS
+ * keeps its own structured parser (sandbox.h: parse_fault_spec) and
+ * EXO2_NATIVE_ISA its enum validation (cjit.h), both already strict.
  */
 
 #include <cstdint>

@@ -160,12 +160,6 @@ SandboxLimits::defaults()
     return l;
 }
 
-bool
-sandbox_enabled()
-{
-    return util::env_flag("EXO2_SANDBOX", true);
-}
-
 namespace {
 
 /** Child -> parent results, at the head of the shared mapping. */

@@ -25,9 +25,10 @@
  *    degradation chain), and generated kernels crash or spin, so tests
  *    can prove each consumer degrades instead of dying.
  *
- * Environment knobs: `EXO2_FAULTS` (spec string, see parse_fault_spec),
- * `EXO2_SANDBOX_WALL` (watchdog seconds for SandboxLimits::defaults),
- * `EXO2_SANDBOX=0` (consumers fall back to trusted in-process runs).
+ * Environment knobs: `EXO2_FAULTS` (spec string, see parse_fault_spec)
+ * and `EXO2_SANDBOX_WALL` (watchdog seconds for
+ * SandboxLimits::defaults). The tuner's JIT re-rank and the
+ * tri-oracle always run candidates through `sandbox_call`.
  */
 
 #include <cstdint>
@@ -119,10 +120,6 @@ struct SandboxOutcome
 SandboxOutcome sandbox_call(void (*entry)(void**), const ProcPtr& proc,
                             const std::vector<RunArg>& args, int iters,
                             const SandboxLimits& limits);
-
-/** Whether consumers should sandbox untrusted runs: true unless
- *  `EXO2_SANDBOX` is set to `0`/`off` (trusted in-process mode). */
-bool sandbox_enabled();
 
 // ---------------------------------------------------------------------------
 // Deterministic fault injection

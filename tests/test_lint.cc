@@ -358,7 +358,8 @@ TEST(Lint, ScheduledDemoKernelsHaveNoErrors)
 // -- Soundness sweep over the fuzz corpus ----------------------------------
 //
 // Same kernels and seed derivation as test_verify's campaign; the full
-// 212-seed budget runs via EXO2_LINT_FUZZ_SEEDS (scripts/check_lint.sh).
+// 212-seed budget runs via EXO2_LINT_FUZZ_SEEDS in the lint_soundness
+// gate (scripts/check_lint.sh).
 // fuzz_schedule itself carries the fourth-oracle cross-check: a
 // proven-safe schedule that crashes the C oracle returns LintUnsound
 // and fails the ASSERT below with a ddmin repro.

@@ -772,10 +772,9 @@ class ObsDaemonTest : public ObsTest
     {
         ObsTest::SetUp();
         for (const char* v :
-             {"EXO2_CACHE_DIR", "EXO2_FAULTS", "EXO2_TUNE_DEADLINE",
-              "EXO2_SERVE_SOCKET", "EXO2_SERVE_WORKERS",
-              "EXO2_SERVE_QUEUE", "EXO2_SERVE_DEADLINE",
-              "EXO2_SERVE_RETRIES"})
+             {"EXO2_CACHE_DIR", "EXO2_FAULTS", "EXO2_SERVE_SOCKET",
+              "EXO2_SERVE_WORKERS", "EXO2_SERVE_QUEUE",
+              "EXO2_SERVE_DEADLINE", "EXO2_SERVE_RETRIES"})
             unsetenv(v);
     }
 };

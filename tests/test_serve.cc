@@ -86,10 +86,9 @@ class ServeTest : public ::testing::Test
     void SetUp() override
     {
         for (const char* v :
-             {"EXO2_CACHE_DIR", "EXO2_FAULTS", "EXO2_TUNE_DEADLINE",
-              "EXO2_SERVE_SOCKET", "EXO2_SERVE_WORKERS",
-              "EXO2_SERVE_QUEUE", "EXO2_SERVE_DEADLINE",
-              "EXO2_SERVE_RETRIES"})
+             {"EXO2_CACHE_DIR", "EXO2_FAULTS", "EXO2_SERVE_SOCKET",
+              "EXO2_SERVE_WORKERS", "EXO2_SERVE_QUEUE",
+              "EXO2_SERVE_DEADLINE", "EXO2_SERVE_RETRIES"})
             unsetenv(v);
         obs::reset_metrics();
         verify::clear_fault_spec();

@@ -282,6 +282,30 @@ TEST(TuneSearch, GreedyModeAndStatsAccounting)
               static_cast<uint64_t>(r2.stats.states_scored));
 }
 
+TEST(TuneSearch, EnvironmentDoesNotOverrideTuneOpts)
+{
+    // The daemon hands each request's beam, rounds, restarts, top-k and
+    // deadline to autotune through TuneOpts; a stray EXO2_TUNE_* in the
+    // server's environment must not replace them.
+    ProcPtr p = kernels::find_kernel("saxpy").proc;
+    TuneOpts o;
+    o.tune_sizes = {{"n", 512}};
+    o.beam_width = 3;
+    o.max_rounds = 3;
+
+    tune::TuneResult plain = tune::autotune(p, machine_avx2(), o);
+    setenv("EXO2_TUNE_BEAM", "1", 1);
+    setenv("EXO2_TUNE_ROUNDS", "1", 1);
+    tune::TuneResult with_env = tune::autotune(p, machine_avx2(), o);
+    unsetenv("EXO2_TUNE_BEAM");
+    unsetenv("EXO2_TUNE_ROUNDS");
+
+    EXPECT_EQ(verify::script_to_string(with_env.script),
+              verify::script_to_string(plain.script));
+    EXPECT_EQ(with_env.cost, plain.cost);
+    EXPECT_EQ(with_env.stats.states_scored, plain.stats.states_scored);
+}
+
 TEST(TuneSearch, RejectsMissingAndInvalidSizes)
 {
     ProcPtr p = kernels::find_kernel("saxpy").proc;

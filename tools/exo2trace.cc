@@ -15,7 +15,8 @@
  * https://ui.perfetto.dev; without it the trace stays in memory and
  * only the breakdown is printed.
  *
- * `--overhead` is the CI gate behind scripts/check_obs.sh: it proves
+ * `--overhead` is the obs_overhead gate (`ctest -C gates -L '^obs$'`,
+ * see CMakeLists.txt): it proves
  * (a) a traced tune captures a non-vacuous number of spans (>= 1000)
  * and (b) the tracing-off fast path costs < 2% of the same workload's
  * wall clock even if every captured span were a disabled-span probe.
