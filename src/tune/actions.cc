@@ -1,18 +1,13 @@
 #include "src/tune/actions.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "src/analysis/affine.h"
 #include "src/cursor/cursor.h"
-#include "src/ir/builder.h"
 #include "src/ir/errors.h"
 #include "src/machine/cost_sim.h"
 #include "src/obs/trace.h"
 #include "src/primitives/primitives.h"
-#include "src/sched/blas.h"
-#include "src/sched/combinators.h"
-#include "src/sched/vectorize.h"
 #include "src/tune/tune.h"
 
 namespace exo2 {
@@ -30,86 +25,6 @@ constexpr int64_t kUnrollMaxTrip = 8;
  *  statements (see enumerate_actions). */
 constexpr size_t kMaxInterleaveBody = 16;
 constexpr size_t kMaxUajStmts = 8;
-
-/** Pre-order site walk (the ordinal space of tuner steps). */
-struct Sites
-{
-    std::vector<Cursor> loops;
-    std::vector<Cursor> allocs;
-};
-
-void
-walk_block(const ProcPtr& p, const std::vector<StmtPtr>& block,
-           const Path& prefix, PathLabel label, Sites* out)
-{
-    for (size_t i = 0; i < block.size(); i++) {
-        const StmtPtr& s = block[i];
-        Path here = prefix;
-        here.push_back({label, static_cast<int>(i)});
-        CursorLoc loc;
-        loc.kind = CursorKind::Node;
-        loc.path = here;
-        Cursor c(p, loc);
-        if (s->kind() == StmtKind::For)
-            out->loops.push_back(c);
-        if (s->kind() == StmtKind::Alloc)
-            out->allocs.push_back(c);
-        if (!s->body().empty())
-            walk_block(p, s->body(), here, PathLabel::Body, out);
-        if (!s->orelse().empty())
-            walk_block(p, s->orelse(), here, PathLabel::Orelse, out);
-    }
-}
-
-Sites
-walk(const ProcPtr& p)
-{
-    Sites s;
-    walk_block(p, p->body_stmts(), {}, PathLabel::Body, &s);
-    return s;
-}
-
-const Cursor&
-site(const std::vector<Cursor>& v, int64_t ordinal, const char* what)
-{
-    // Strict bounds (unlike the fuzzer's modulo-wrap `pick`): tuner
-    // steps record exact ordinals, so an out-of-range index means the
-    // script is being replayed against the wrong proc — fail loudly
-    // rather than silently applying a different action.
-    if (ordinal < 0 || static_cast<size_t>(ordinal) >= v.size()) {
-        throw SchedulingError(
-            "tune: step references " + std::string(what) + " #" +
-            std::to_string(ordinal) + " but the proc has " +
-            std::to_string(v.size()) +
-            " (replaying against the wrong proc?)");
-    }
-    return v[static_cast<size_t>(ordinal)];
-}
-
-int64_t
-ni(const FuzzStep& st, size_t i)
-{
-    return i < st.n.size() ? st.n[i] : 0;
-}
-
-std::string
-si(const FuzzStep& st, size_t i)
-{
-    if (i >= st.s.size())
-        throw SchedulingError("tune: step '" + st.op +
-                              "' missing name operand");
-    return st.s[i];
-}
-
-TailStrategy
-divide_tail(int64_t code)
-{
-    switch (static_cast<uint64_t>(code) % 3) {
-      case 0: return TailStrategy::Cut;
-      case 1: return TailStrategy::Guard;
-      default: return TailStrategy::Perfect;
-    }
-}
 
 /** Structural facts about one loop subtree, for cheap prefilters. */
 struct LoopShape
@@ -180,68 +95,12 @@ default_space(const Machine& machine, ScalarType precision,
     return sp;
 }
 
-namespace {
-
-/** Dispatch one tuner op against a precomputed site walk of `p` —
- *  enumeration validates hundreds of candidates per state, and they
- *  all share the same walk. */
-ProcPtr
-apply_with_sites(const ProcPtr& p, const Sites& w, const FuzzStep& st)
-{
-    const std::string& op = st.op;
-    if (op == "t_divide") {
-        return divide_loop(p, site(w.loops, ni(st, 0), "loop"), ni(st, 1),
-                           {si(st, 0), si(st, 1)}, divide_tail(ni(st, 2)));
-    }
-    if (op == "t_reorder")
-        return reorder_loops(p, site(w.loops, ni(st, 0), "loop"));
-    if (op == "t_unroll")
-        return unroll_loop(p, site(w.loops, ni(st, 0), "loop"));
-    if (op == "t_vectorize") {
-        const Machine& m = find_machine(si(st, 0));
-        ScalarType prec = type_from_name(si(st, 1));
-        sched::VectorizeOpts opts;
-        opts.tail = (ni(st, 1) == 1) ? TailStrategy::CutAndGuard
-                                     : TailStrategy::Cut;
-        return sched::vectorize(p, site(w.loops, ni(st, 0), "loop"), m,
-                                prec, opts);
-    }
-    if (op == "t_interleave") {
-        return sched::interleave_loop(
-            p, site(w.loops, ni(st, 0), "loop"),
-            static_cast<int>(ni(st, 1)));
-    }
-    if (op == "t_cse")
-        return sched::cse_reads(p, site(w.loops, ni(st, 0), "loop"));
-    if (op == "t_licm")
-        return sched::hoist_from_loop(p, site(w.loops, ni(st, 0), "loop"));
-    if (op == "t_uaj") {
-        return sched::unroll_and_jam(p, site(w.loops, ni(st, 0), "loop"),
-                                     static_cast<int>(ni(st, 1)));
-    }
-    if (op == "t_lift_alloc") {
-        return lift_alloc(p, site(w.allocs, ni(st, 0), "alloc"),
-                          static_cast<int>(ni(st, 1)));
-    }
-    throw SchedulingError("tune: unknown op '" + op + "'");
-}
-
-}  // namespace
-
-ProcPtr
-apply_tune_step(const ProcPtr& p, const FuzzStep& st)
-{
-    if (st.op.rfind("t_", 0) != 0)
-        return verify::apply_fuzz_step(p, st);
-    return apply_with_sites(p, walk(p), st);
-}
-
 ProcPtr
 replay_script(const ProcPtr& p, const std::vector<FuzzStep>& script)
 {
     ProcPtr cur = p;
     for (const FuzzStep& st : script)
-        cur = apply_tune_step(cur, st);
+        cur = verify::apply_fuzz_step(cur, st);
     return cur;
 }
 
@@ -250,7 +109,7 @@ enumerate_actions(const ProcPtr& p, const Machine& machine,
                   ScalarType precision, const TuneSpace& space)
 {
     EXO2_SPAN("tune.enumerate", {{"proc", p->name()}});
-    Sites w = walk(p);
+    verify::Sites w = verify::walk_sites(p);
     uint64_t base_digest = proc_digest(p);
     std::vector<TuneAction> out;
 
@@ -261,7 +120,7 @@ enumerate_actions(const ProcPtr& p, const Machine& machine,
     auto consider = [&](FuzzStep st) {
         ProcPtr res;
         try {
-            res = apply_with_sites(p, w, st);
+            res = verify::apply_fuzz_step(p, w, st);
         } catch (const SchedulingError&) {
             return;
         } catch (const InvalidCursorError&) {

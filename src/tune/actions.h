@@ -7,11 +7,14 @@
  *
  * An *action* is one legal scheduling move at one cursor site of a
  * proc, emitted as a self-describing, replayable `FuzzStep`. Sites are
- * addressed by ordinals into deterministic pre-order walks (loops,
- * allocs), so a step is meaningful relative to the proc it was
- * enumerated on and replays bit-for-bit.
+ * strict ordinals into the loops and allocs of `verify::walk_sites`,
+ * the one site walk, so a step is meaningful relative to the proc it
+ * was enumerated on and replays bit-for-bit.
  *
- * The tuner vocabulary (integer operands first, name operands second):
+ * The tuner's ops are part of the one step vocabulary that
+ * `verify::apply_fuzz_step` dispatches; the fuzzer draws them with
+ * these operand shapes too, so every tuner move runs under the fuzz
+ * oracles. Integer operands first, name operands second:
  *
  *   t_divide[loop,factor,tail; io,ii]  divide_loop (tail 0=cut 1=guard
  *                                      2=perfect)

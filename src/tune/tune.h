@@ -166,16 +166,10 @@ TuneResult autotune(const ProcPtr& p, const Machine& machine,
                     const TuneOpts& opts);
 
 /**
- * Apply one schedule-script step. Understands the tuner vocabulary
- * (`t_divide`, `t_reorder`, `t_unroll`, `t_vectorize`, `t_interleave`,
- * `t_cse`, `t_licm`, `t_uaj`, `t_lift_alloc` — see actions.h) and
- * falls back to `verify::apply_fuzz_step` for every fuzzer op, so any
- * recorded script — tuner winner or fuzz repro — replays through this
- * one entry point. Throws SchedulingError when a step is inapplicable.
+ * Fold `verify::apply_fuzz_step`, the one step dispatch, over a whole
+ * script, so a tuner winner and a fuzz repro replay alike. Throws
+ * SchedulingError at the first inapplicable step.
  */
-ProcPtr apply_tune_step(const ProcPtr& p, const FuzzStep& step);
-
-/** Fold `apply_tune_step` over a whole script. */
 ProcPtr replay_script(const ProcPtr& p,
                       const std::vector<FuzzStep>& script);
 

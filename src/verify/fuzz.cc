@@ -8,7 +8,12 @@
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
 #include "src/lint/lint.h"
+#include "src/machine/cost_sim.h"
+#include "src/machine/machine.h"
 #include "src/primitives/primitives.h"
+#include "src/sched/blas.h"
+#include "src/sched/combinators.h"
+#include "src/sched/vectorize.h"
 #include "src/util/rng.h"
 #include "src/verify/sandbox.h"
 
@@ -19,24 +24,10 @@ namespace {
 
 using Rng = XorShiftRng;  // the shared seeded RNG (util/rng.h)
 
-/** Cursor collections over one proc version, in traversal order. */
-struct Walk
-{
-    std::vector<Cursor> loops;
-    std::vector<Cursor> stmts;
-    std::vector<Cursor> writes;          ///< Assign / Reduce
-    std::vector<Cursor> scalar_assigns;  ///< Assign with no indices
-    std::vector<Cursor> allocs;
-    std::vector<Cursor> with_next;       ///< stmts with a next sibling
-    std::vector<Cursor> scopes;          ///< For/If nested under For/If
-    std::vector<std::pair<Cursor, Cursor>> for_pairs;  ///< adjacent Fors
-    std::vector<std::pair<Cursor, Cursor>> if_pairs;   ///< adjacent Ifs
-};
-
 void
 walk_block(const ProcPtr& p, const std::vector<StmtPtr>& block,
            const Path& prefix, PathLabel label, bool parent_is_scope,
-           Walk* w)
+           Sites* w)
 {
     for (size_t i = 0; i < block.size(); i++) {
         const StmtPtr& s = block[i];
@@ -95,14 +86,7 @@ walk_block(const ProcPtr& p, const std::vector<StmtPtr>& block,
     }
 }
 
-Walk
-walk(const ProcPtr& p)
-{
-    Walk w;
-    walk_block(p, p->body_stmts(), {}, PathLabel::Body, false, &w);
-    return w;
-}
-
+/** A fuzzer op's site: the ordinal resolved modulo the candidates. */
 template <typename T>
 const T&
 pick(const std::vector<T>& v, int64_t ordinal, const char* what)
@@ -111,6 +95,23 @@ pick(const std::vector<T>& v, int64_t ordinal, const char* what)
         throw SchedulingError(std::string("fuzz: no candidate ") + what);
     uint64_t u = static_cast<uint64_t>(ordinal);
     return v[u % v.size()];
+}
+
+/** A `t_*` op's site: the ordinal must be in range. Tuner steps record
+ *  exact ordinals, so an out-of-range one means the script is replayed
+ *  against the wrong proc — fail loudly rather than silently apply a
+ *  different action. */
+const Cursor&
+site(const std::vector<Cursor>& v, int64_t ordinal, const char* what)
+{
+    if (ordinal < 0 || static_cast<size_t>(ordinal) >= v.size()) {
+        throw SchedulingError(
+            "step references " + std::string(what) + " #" +
+            std::to_string(ordinal) + " but the proc has " +
+            std::to_string(v.size()) +
+            " (replaying against the wrong proc?)");
+    }
+    return v[static_cast<size_t>(ordinal)];
 }
 
 /** First size argument of the proc. */
@@ -265,17 +266,30 @@ script_from_string(const std::string& text)
     return out;
 }
 
+Sites
+walk_sites(const ProcPtr& p)
+{
+    Sites w;
+    walk_block(p, p->body_stmts(), {}, PathLabel::Body, false, &w);
+    return w;
+}
+
 ProcPtr
 apply_fuzz_step(const ProcPtr& p, const FuzzStep& st)
 {
-    Walk w = walk(p);
+    return apply_fuzz_step(p, walk_sites(p), st);
+}
+
+ProcPtr
+apply_fuzz_step(const ProcPtr& p, const Sites& w, const FuzzStep& st)
+{
     const std::string& op = st.op;
     auto ni = [&](size_t i) -> int64_t {
         return i < st.n.size() ? st.n[i] : 0;
     };
     auto si = [&](size_t i) -> std::string {
         if (i >= st.s.size())
-            throw SchedulingError("fuzz: step missing name operand");
+            throw SchedulingError("step '" + op + "' missing name operand");
         return st.s[i];
     };
 
@@ -394,15 +408,51 @@ apply_fuzz_step(const ProcPtr& p, const FuzzStep& st)
         return simplify(p);
     if (op == "dce")
         return eliminate_dead_code(p);
-    throw SchedulingError("fuzz: unknown op '" + op + "'");
+    // The tuner's moves (src/tune/actions.h): strict site ordinals.
+    if (op == "t_divide") {
+        // Tail 0=cut 1=guard 2=perfect: `divide`'s codes 2, 1, 0.
+        return divide_loop(p, site(w.loops, ni(0), "loop"), ni(1),
+                           {si(0), si(1)},
+                           tail_of(2 - static_cast<uint64_t>(ni(2)) % 3));
+    }
+    if (op == "t_reorder")
+        return reorder_loops(p, site(w.loops, ni(0), "loop"));
+    if (op == "t_unroll")
+        return unroll_loop(p, site(w.loops, ni(0), "loop"));
+    if (op == "t_vectorize") {
+        const Machine& m = find_machine(si(0));
+        ScalarType prec = type_from_name(si(1));
+        sched::VectorizeOpts opts;
+        opts.tail = (ni(1) == 1) ? TailStrategy::CutAndGuard
+                                 : TailStrategy::Cut;
+        return sched::vectorize(p, site(w.loops, ni(0), "loop"), m, prec,
+                                opts);
+    }
+    if (op == "t_interleave") {
+        return sched::interleave_loop(p, site(w.loops, ni(0), "loop"),
+                                      static_cast<int>(ni(1)));
+    }
+    if (op == "t_cse")
+        return sched::cse_reads(p, site(w.loops, ni(0), "loop"));
+    if (op == "t_licm")
+        return sched::hoist_from_loop(p, site(w.loops, ni(0), "loop"));
+    if (op == "t_uaj") {
+        return sched::unroll_and_jam(p, site(w.loops, ni(0), "loop"),
+                                     static_cast<int>(ni(1)));
+    }
+    if (op == "t_lift_alloc") {
+        return lift_alloc(p, site(w.allocs, ni(0), "alloc"),
+                          static_cast<int>(ni(1)));
+    }
+    throw SchedulingError("unknown op '" + op + "'");
 }
 
 namespace {
 
-/** Draw one candidate step for the current proc. `uniq` must be unique
- *  within the chain (fresh-name generation). */
+/** Draw one candidate step for the current proc and its site walk.
+ *  `uniq` must be unique within the chain (fresh-name generation). */
 FuzzStep
-random_step(const ProcPtr& p, Rng* rng, int uniq)
+random_step(const ProcPtr& p, const Sites& w, Rng* rng, int uniq)
 {
     static const char* kOps[] = {
         "divide",        "divide",       "reorder_loops", "unroll",
@@ -412,13 +462,42 @@ random_step(const ProcPtr& p, Rng* rng, int uniq)
         "delete_buffer", "divide_dim",   "expand_dim",    "rearrange_dim",
         "mult_loops",    "remove_loop",  "add_loop",      "specialize_size",
         "specialize_data", "lift_scope", "parallelize",   "simplify",
-        "dce",
+        "dce",           "t_divide",     "t_reorder",     "t_unroll",
+        "t_vectorize",   "t_interleave", "t_cse",         "t_licm",
+        "t_uaj",         "t_lift_alloc",
     };
     constexpr int kNumOps = sizeof(kOps) / sizeof(kOps[0]);
     FuzzStep st;
     st.op = kOps[rng->below(kNumOps)];
+    if (st.op.rfind("t_", 0) == 0) {
+        // The operands the tuner enumerates (tune/actions.cc) at its
+        // default machine and precision, on an in-range site.
+        const auto& sites = st.op == "t_lift_alloc" ? w.allocs : w.loops;
+        if (sites.empty())
+            return st;  // the strict site lookup throws
+        const Machine& m = machine_avx2();
+        int64_t at = rng->below(static_cast<int64_t>(sites.size()));
+        int64_t bit = rng->below(2);
+        st.n = {at};
+        if (st.op == "t_divide") {
+            TileHints h = tile_hints(m, ScalarType::F32, CostConfig());
+            std::vector<int64_t> fs = h.split_factors;
+            fs.insert(fs.end(), h.cache_tiles.begin(), h.cache_tiles.end());
+            std::string it = sites[static_cast<size_t>(at)].stmt()->iter();
+            st.n = {at, fs[rng->below(static_cast<int64_t>(fs.size()))], 0};
+            st.s = {fresh_in(p, it + "o"), fresh_in(p, it + "i")};
+        } else if (st.op == "t_vectorize") {
+            st.n.push_back(m.supports_predication() ? bit : 0);
+            st.s = {m.name(), type_name(ScalarType::F32)};
+        } else if (st.op == "t_interleave" || st.op == "t_uaj") {
+            st.n.push_back(bit ? 4 : 2);
+        } else if (st.op == "t_lift_alloc") {
+            st.n.push_back(1 + bit);
+        }
+        return st;
+    }
     std::string u = std::to_string(uniq);
-    // Three generic integer operands cover every op's parameters.
+    // Three generic integer operands cover every fuzzer op's parameters.
     st.n = {rng->below(1 << 20), rng->below(1 << 20), rng->below(1 << 20)};
     if (st.op == "divide") {
         st.n[1] = 2 + rng->below(3);  // factor 2..4
@@ -432,7 +511,6 @@ random_step(const ProcPtr& p, Rng* rng, int uniq)
     } else if (st.op == "add_loop") {
         st.s = {"fzl" + u};
     }
-    (void)p;
     return st;
 }
 
@@ -492,9 +570,10 @@ fuzz_schedule(const ProcPtr& p, const SizeEnv& env, uint64_t seed,
     while (static_cast<int>(r.applied.size()) < max_steps &&
            attempts < max_steps * 8) {
         attempts++;
-        FuzzStep st = random_step(cur, &rng, attempts);
+        Sites w = walk_sites(cur);
+        FuzzStep st = random_step(cur, w, &rng, attempts);
         try {
-            cur = apply_fuzz_step(cur, st);
+            cur = apply_fuzz_step(cur, w, st);
             r.applied.push_back(st);
         } catch (const SchedulingError&) {
         } catch (const InvalidCursorError&) {

@@ -14,6 +14,11 @@
  * (kernel, seed, steps) triple alone, and delta-debugs down to a
  * minimal failing sub-chain.
  *
+ * The step vocabulary is shared: the autotuner's moves (the `t_*` ops,
+ * src/tune/actions.h) are steps of this same dispatch, resolved against
+ * the same site walk, so the fuzzer draws them too and a tuner winner
+ * replays through `apply_fuzz_step` like any fuzz repro.
+ *
  * Reproducing a failure locally:
  *     FuzzResult r = fuzz_schedule(kernels::find_kernel("saxpy").proc,
  *                                  {{"n", 24}}, /seed/ 1234);
@@ -23,8 +28,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/cursor/cursor.h"
 #include "src/ir/proc.h"
 #include "src/verify/oracle.h"
 
@@ -33,10 +40,14 @@ namespace verify {
 
 /**
  * One recorded scheduling action. `op` names the primitive; `n` holds
- * integer parameters (target ordinals — resolved modulo the number of
- * candidates on the current proc — factors, offsets, flags) and `s`
- * holds fresh names. Replaying the same steps on the same proc is
- * deterministic.
+ * integer parameters (target ordinals first, then factors, offsets,
+ * flags) and `s` holds names (fresh names, or a machine and a
+ * precision). A target ordinal indexes one list of the site walk
+ * (`Sites`) of the proc the step applies to. The fuzzer's own ops
+ * resolve it modulo the list's length; the tuner's `t_*` ops are
+ * strict, and an out-of-range ordinal throws SchedulingError, since it
+ * means the script is replayed against the wrong proc. Replaying the
+ * same steps on the same proc is deterministic.
  */
 struct FuzzStep
 {
@@ -45,7 +56,8 @@ struct FuzzStep
     std::vector<std::string> s;
 };
 
-/** Render a step as e.g. `divide[loop#1 factor=4 tail=cut io,ii]`. */
+/** Render a step as `op[n0,n1,...;s0,s1,...]`, e.g. `divide[1,4,2;io,ii]`
+ *  (the `;` and names only when there are names). */
 std::string step_to_string(const FuzzStep& step);
 
 /**
@@ -65,10 +77,37 @@ std::string script_to_string(const std::vector<FuzzStep>& steps);
 std::vector<FuzzStep> script_from_string(const std::string& text);
 
 /**
- * Apply one step to `p`. Throws SchedulingError (or InvalidCursorError)
+ * The site walk of one proc version: cursor collections in pre-order
+ * (a statement, then its body, then its orelse). Step ordinals index
+ * these lists.
+ */
+struct Sites
+{
+    std::vector<Cursor> loops;
+    std::vector<Cursor> stmts;
+    std::vector<Cursor> writes;          ///< Assign / Reduce
+    std::vector<Cursor> scalar_assigns;  ///< Assign with no indices
+    std::vector<Cursor> allocs;
+    std::vector<Cursor> with_next;       ///< stmts with a next sibling
+    std::vector<Cursor> scopes;          ///< For/If nested under For/If
+    std::vector<std::pair<Cursor, Cursor>> for_pairs;  ///< adjacent Fors
+    std::vector<std::pair<Cursor, Cursor>> if_pairs;   ///< adjacent Ifs
+};
+
+/** Walk `p` once. */
+Sites walk_sites(const ProcPtr& p);
+
+/**
+ * Apply one step to `p`: every fuzzer op and every tuner `t_*` op
+ * (src/tune/actions.h). Throws SchedulingError (or InvalidCursorError)
  * when the step is inapplicable — callers skip such steps.
  */
 ProcPtr apply_fuzz_step(const ProcPtr& p, const FuzzStep& step);
+
+/** The same, against a precomputed `walk_sites(p)`: callers that try
+ *  many steps on one proc walk it once. */
+ProcPtr apply_fuzz_step(const ProcPtr& p, const Sites& sites,
+                        const FuzzStep& step);
 
 /** Outcome of one fuzzed schedule. */
 struct FuzzResult

@@ -74,7 +74,7 @@ TEST(TuneActions, EveryEnumeratedActionAppliesCleanly)
         EXPECT_FALSE(actions.empty()) << name;
         for (const TuneAction& a : actions) {
             ProcPtr replayed;
-            ASSERT_NO_THROW(replayed = tune::apply_tune_step(proc, a.step))
+            ASSERT_NO_THROW(replayed = verify::apply_fuzz_step(proc, a.step))
                 << name << ": " << verify::step_to_string(a.step);
             // The recorded step must reproduce the enumerated result
             // bit-for-bit (ordinals and fresh names are deterministic).
@@ -102,7 +102,7 @@ TEST(TuneActions, SecondGenerationActionsApplyCleanly)
                  enumerate_actions(q, m, ScalarType::F32, sp)) {
                 ProcPtr replayed;
                 ASSERT_NO_THROW(
-                    replayed = tune::apply_tune_step(q, a.step))
+                    replayed = verify::apply_fuzz_step(q, a.step))
                     << name << " via "
                     << verify::step_to_string(first[i].step) << " then "
                     << verify::step_to_string(a.step);
@@ -168,8 +168,8 @@ TEST(TuneDigest, StructuralNotProvenance)
     // Two different derivation orders reaching the same structure give
     // the same digest.
     FuzzStep d1{"t_divide", {0, 4, 0}, {"io", "ii"}};
-    ProcPtr a = tune::apply_tune_step(p, d1);
-    ProcPtr b = tune::apply_tune_step(p, d1);
+    ProcPtr a = verify::apply_fuzz_step(p, d1);
+    ProcPtr b = verify::apply_fuzz_step(p, d1);
     EXPECT_NE(a.get(), b.get());
     EXPECT_EQ(proc_digest(a), proc_digest(b));
     EXPECT_NE(proc_digest(a), proc_digest(p));

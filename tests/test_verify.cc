@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #include "src/analysis/context.h"
@@ -498,6 +499,7 @@ TEST(VerifyFuzz, RandomSchedulesAgreeAcrossOracles)
          std::max(1, per * 3 / 10)},
     };
     int total = 0;
+    std::map<std::string, int> applied;  // step op -> times applied
     for (const auto& fk : fks) {
         for (int s = 0; s < fk.seeds; s++) {
             uint64_t seed = 1000 * static_cast<uint64_t>(s) + 7;
@@ -505,10 +507,20 @@ TEST(VerifyFuzz, RandomSchedulesAgreeAcrossOracles)
             total++;
             ASSERT_EQ(r.status, FuzzResult::Status::Ok)
                 << fuzz_repro_string(fk.name, seed, r);
+            for (const FuzzStep& st : r.applied)
+                applied[st.op]++;
         }
     }
     if (!custom_budget)
         EXPECT_GE(total, 200);  // the acceptance floor at default budget
+    // Every tuner move ran under the oracles (at the default budget or
+    // a larger one).
+    if (per >= 40) {
+        for (const char* op :
+             {"t_divide", "t_reorder", "t_unroll", "t_vectorize",
+              "t_interleave", "t_cse", "t_licm", "t_uaj", "t_lift_alloc"})
+            EXPECT_GT(applied[op], 0) << op << " was never applied";
+    }
 }
 
 }  // namespace
