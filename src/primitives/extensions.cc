@@ -280,8 +280,21 @@ bind_expr_block(const ProcPtr& p, const Cursor& block, const ExprPtr& expr,
         }
     }
     // The expression must be evaluable at the block entry: all names it
-    // reads must not be bound inside the block.
-    for (const auto& nm : collect_allocs(body)) {
+    // reads must not be bound inside the block, by an alloc or by a
+    // loop. (A read of an inner iterator passes the bounds proof below
+    // vacuously when that loop sits in a provably zero-trip one.)
+    std::vector<std::string> bound = collect_allocs(body);
+    std::function<void(const std::vector<StmtPtr>&)> add_iters =
+        [&](const std::vector<StmtPtr>& b) {
+            for (const auto& st : b) {
+                if (st->kind() == StmtKind::For)
+                    bound.push_back(st->iter());
+                add_iters(st->body());
+                add_iters(st->orelse());
+            }
+        };
+    add_iters(body);
+    for (const auto& nm : bound) {
         require(std::find(reads.begin(), reads.end(), nm) == reads.end(),
                 "bind_expr_block: expression reads block-local '" + nm +
                     "'");

@@ -57,7 +57,7 @@ namespace tune {
  * a bump invalidates every cached script, which is exactly the safe
  * behavior (DESIGN.md §8).
  */
-constexpr int kScheduleLibraryVersion = 1;
+constexpr int kScheduleLibraryVersion = 2;
 
 /** The machine-derived part of the action space; the other operands
  *  and site caps are fixed (actions.cc). */

@@ -407,7 +407,7 @@ TEST(TunePinned, TuneSearchKernelsMatchTheSerialSearch)
          {{"M", 48}, {"N", 48}},
          "t_uaj[0,4]\nt_vectorize[1,0;AVX2,f32]\n", 1500, 432, 67, 365},
         {"sgemm", kernels::sgemm(), {{"M", 16}, {"N", 16}, {"K", 16}},
-         "t_uaj[1,4]\nt_vectorize[2,1;AVX2,f32]\n", 3792, 530, 101, 429},
+         "t_uaj[1,4]\nt_vectorize[2,1;AVX2,f32]\n", 3792, 529, 101, 428},
         {"blur", small_blur(), {{"H", 8}, {"W", 64}},
          "t_vectorize[1,0;AVX2,f32]\nt_vectorize[4,0;AVX2,f32]\n"
          "t_interleave[1,4]\nt_interleave[5,4]\n",

@@ -399,6 +399,63 @@ def f(A: f32[4, 6] @ DRAM):
     EXPECT_TRUE(rep.ok) << rep.detail;
 }
 
+/** Replay a recorded chain, every step of which must apply, and check
+ *  the result against the kernel on all three oracles. */
+void
+expect_chain_agrees(const ProcPtr& p, const std::string& chain,
+                    const SizeEnv& env, uint64_t seed)
+{
+    ProcPtr cur = p;
+    for (const FuzzStep& st : verify::script_from_string(chain))
+        ASSERT_NO_THROW(cur = apply_fuzz_step(cur, st))
+            << verify::step_to_string(st);
+    auto rep = tri_oracle_check(p, cur, env, seed);
+    EXPECT_TRUE(rep.ok) << rep.detail;
+}
+
+TEST(FuzzRegression, CseReadsKeepsInnerIteratorBoundOnBlur)
+{
+    // Tuner moves alone. Dividing a loop of `W % 32` iterations by 32
+    // leaves a provably zero-trip main loop, whose infeasible facts
+    // proved the hoisted read `... xii ...` in bounds vacuously:
+    // t_cse's cse_reads bound it above the `for xii` loop
+    // (bind_expr_block refused block-local allocs, not inner
+    // iterators). The interpreter never entered the loop; the C
+    // compiler rejected `xii` as undeclared.
+    expect_chain_agrees(kernels::blur(),
+                        "t_uaj[2,4]\nt_divide[3,32,0;xo,xi]\nt_uaj[0,2]\n"
+                        "t_vectorize[9,0;AVX2,f32]\n"
+                        "t_divide[7,32,0;xio,xii]\nt_uaj[5,2]\nt_cse[9]\n",
+                        {{"H", 32}, {"W", 256}}, 4051);
+}
+
+TEST(FuzzRegression, CseReadsKeepsInnerIteratorBoundOnSgemv)
+{
+    // The same bug reached through a mixed chain (sgemv_n seed 60007):
+    // the read of `fz3i` was hoisted above its loop.
+    expect_chain_agrees(kernels::find_kernel("sgemv_n").proc,
+                        "t_divide[0,256,0;io,ii]\n"
+                        "divide[777827,3,309821;fz3o,fz3i]\n"
+                        "t_uaj[1,4]\nt_vectorize[11,1;AVX2,f32]\n"
+                        "dce[892844,192403,503436]\n"
+                        "simplify[622349,495283,314734]\n"
+                        "t_divide[1,16,0;iioo,iioi]\nt_cse[8]\n",
+                        {{"M", 9}, {"N", 13}}, 60007);
+}
+
+TEST(FuzzRegression, CseReadsKeepsInnerIteratorBoundOnSgemm)
+{
+    // And on sgemm seed 45007, hoisting a read of `jiio`.
+    expect_chain_agrees(kernels::sgemm(),
+                        "t_divide[2,8,0;jo,ji]\nt_divide[4,256,0;jio,jii]\n"
+                        "t_divide[5,16,0;jiio,jiii]\n"
+                        "cut[668624,29623,540304]\nt_cse[4]\n"
+                        "bind_config[378842,195285,830048;fzcfg,f9]\n"
+                        "expand_dim[908712,683027,187403]\n"
+                        "divide_dim[11208,440735,742188]\n",
+                        {{"M", 6}, {"N", 10}, {"K", 7}}, 45007);
+}
+
 // ---- 3. Tri-oracle parity for library-scheduled kernels -----------------
 
 TEST(TriOracleParity, Level1AllKernels)
