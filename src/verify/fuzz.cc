@@ -601,30 +601,30 @@ fuzz_schedule(const ProcPtr& p, const SizeEnv& env, uint64_t seed,
         return r;
     }
     if (rep.is_fault()) {
+        // Without fault injection a fault is deterministic, so ddmin
+        // replays it faithfully. Under injection a re-run draws fresh
+        // faults, and single-step removal would minimize noise: the
+        // repro is then the full applied chain.
+        bool injected = current_fault_spec().any();
+        r.fault = rep.fault;
+        r.minimized =
+            injected ? r.applied : minimize(p, env, seed, r.applied);
         if (r.lint_safe && rep.fault.kind == FaultKind::Crash &&
-            !current_fault_spec().any()) {
+            !injected) {
             // Lint proved every access in-bounds, yet the kernel died
             // on a real (uninjected) fatal signal: one of the two is
-            // wrong, and either way it is a soundness bug worth a
-            // minimized repro. Crashes without injection are
-            // deterministic, so ddmin replays faithfully.
+            // wrong, and either way it is a soundness bug.
             r.status = FuzzResult::Status::LintUnsound;
             r.detail = "lint proved the schedule safe but the C oracle "
                        "crashed: " + rep.detail;
-            r.fault = rep.fault;
-            r.minimized = minimize(p, env, seed, r.applied);
             return r;
         }
         // The candidate could not be executed (compile fail/timeout,
         // dlopen fail, sandboxed crash or hang). Not an equivalence
-        // verdict: record the full applied chain as the replayable
-        // repro and let the campaign continue. No ddmin — under fault
-        // injection a re-run draws fresh faults, so single-step
-        // removal would minimize noise, not the failure.
+        // verdict: record the replayable repro and let the campaign
+        // continue.
         r.status = FuzzResult::Status::Fault;
-        r.fault = rep.fault;
         r.detail = rep.detail;
-        r.minimized = r.applied;
         return r;
     }
     r.status = FuzzResult::Status::Divergence;

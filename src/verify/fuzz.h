@@ -137,9 +137,10 @@ struct FuzzResult
     /** Structured fault when status == Fault. */
     ::exo2::RuntimeFault fault;
     std::vector<FuzzStep> applied;    ///< steps that took effect
-    /** Minimal failing sub-chain (Divergence/EngineError); for Fault
-     *  it is the full applied chain — the replayable repro script —
-     *  since fault injection makes per-step replay probabilistic. */
+    /** Minimal failing sub-chain. For a Fault under fault injection
+     *  (EXO2_FAULTS) it is the full applied chain — the replayable
+     *  repro script — since injection makes per-step replay
+     *  probabilistic. */
     std::vector<FuzzStep> minimized;
     ProcPtr scheduled;                ///< final proc (null on EngineError)
 };
@@ -148,7 +149,8 @@ struct FuzzResult
  * Draw and apply a random primitive chain (at most `max_steps` applied
  * steps) on `p`, then tri-oracle-check it against `p` with inputs
  * derived from `seed`. On failure the applied chain is minimized by
- * repeated single-step removal (ddmin-style) before returning.
+ * repeated single-step removal (ddmin-style) before returning, except
+ * for a fault drawn by fault injection.
  */
 FuzzResult fuzz_schedule(const ProcPtr& p, const SizeEnv& env,
                          uint64_t seed, int max_steps = 8);

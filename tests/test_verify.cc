@@ -11,10 +11,11 @@
  *     add_loop / fuse / join_loops, binder-blind reorder_stmts /
  *     inline_assign / access rewriting, uninitialized locals and
  *     duplicate declarations in generated C, condition hoisting in
- *     lift_scope).
+ *     lift_scope, an inner iterator hoisted by the tuner's t_cse).
  *  3. Tri-oracle parity for every kernel scheduled through the
  *     sched/ library entry points, plus the seeded fuzz loop itself
- *     (>= 200 random schedules across >= 5 kernels by default;
+ *     (>= 200 random schedules across >= 5 kernels by default, the
+ *     tuner's t_* moves among the drawn steps;
  *     EXO2_VERIFY_FUZZ_SEEDS scales the budget).
  */
 
@@ -523,6 +524,36 @@ TEST(TriOracleParity, HalideBlurAndUnsharp)
 }
 
 // ---- 4. The seeded schedule fuzzer --------------------------------------
+
+TEST(VerifyFuzz, DeterministicFaultIsMinimized)
+{
+    // A zero-trip loop reading an unbound name: the interpreter never
+    // enters it, but the C oracle cannot compile it, so a chain that
+    // keeps the loop faults. The parser rejects such a proc; build it.
+    ProcPtr shell = parse_proc(R"(
+def f(n: size, x: f32[n] @ DRAM):
+    for i in seq(0, n):
+        x[i] = x[i] + 1.0
+)");
+    std::vector<StmtPtr> body = shell->body_stmts();
+    body.push_back(Stmt::make_for(
+        "j", idx_const(0), idx_const(0),
+        {Stmt::make_assign("x", {idx_const(0)},
+                           Expr::make_read("ghost", {}, ScalarType::F32),
+                           ScalarType::F32)}));
+    ProcPtr p = Proc::make("f", shell->args(), {}, body);
+    FuzzResult r = fuzz_schedule(p, {{"n", 12}}, 2007);
+    ASSERT_EQ(r.status, FuzzResult::Status::Fault)
+        << fuzz_repro_string("f", 2007, r);
+    // No fault injection is active, so the fault replays faithfully and
+    // ddmin drops the steps it does not need.
+    EXPECT_LT(r.minimized.size(), r.applied.size())
+        << fuzz_repro_string("f", 2007, r);
+    ProcPtr cur = p;
+    for (const FuzzStep& st : r.minimized)
+        cur = apply_fuzz_step(cur, st);
+    EXPECT_TRUE(tri_oracle_check(p, cur, {{"n", 12}}, 2007).is_fault());
+}
 
 TEST(VerifyFuzz, RandomSchedulesAgreeAcrossOracles)
 {
