@@ -470,8 +470,8 @@ random_step(const ProcPtr& p, const Sites& w, Rng* rng, int uniq)
     FuzzStep st;
     st.op = kOps[rng->below(kNumOps)];
     if (st.op.rfind("t_", 0) == 0) {
-        // The operands the tuner enumerates (tune/actions.cc) at its
-        // default machine and precision, on an in-range site.
+        // The operands the tuner enumerates (tune/actions.cc) for
+        // AVX2 at f32, on an in-range site.
         const auto& sites = st.op == "t_lift_alloc" ? w.allocs : w.loops;
         if (sites.empty())
             return st;  // the strict site lookup throws

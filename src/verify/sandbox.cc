@@ -236,6 +236,10 @@ sandbox_call(void (*entry)(void**), const ProcPtr& proc,
             rl.rlim_max = static_cast<rlim_t>(limits.cpu_seconds) + 1;
             setrlimit(RLIMIT_CPU, &rl);
         }
+        // An ASan or TSan runtime has already reserved terabytes of
+        // shadow address space, so a limit here would fail the
+        // kernel's first stack growth (SIGSEGV) rather than bound it.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
         if (limits.address_space_bytes > 0) {
             struct rlimit rl;
             rl.rlim_cur =
@@ -244,6 +248,7 @@ sandbox_call(void (*entry)(void**), const ProcPtr& proc,
                 static_cast<rlim_t>(limits.address_space_bytes);
             setrlimit(RLIMIT_AS, &rl);
         }
+#endif
         Clock::time_point c0 = Clock::now();
         for (int it = 0; it < iters; it++)
             entry(arena.argv());

@@ -90,7 +90,8 @@ struct SandboxLimits
     double wall_seconds = 10.0;
     /** RLIMIT_CPU in the child; 0 disables. */
     uint64_t cpu_seconds = 30;
-    /** RLIMIT_AS in the child; 0 disables. */
+    /** RLIMIT_AS in the child; 0 disables. ASan and TSan builds never
+     *  apply it: their shadow reservations already exceed any limit. */
     uint64_t address_space_bytes = 4ull << 30;
 
     /** Defaults with `EXO2_SANDBOX_WALL` applied (if set). */

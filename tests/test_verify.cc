@@ -457,6 +457,20 @@ TEST(FuzzRegression, CseReadsKeepsInnerIteratorBoundOnSgemm)
                         {{"M", 6}, {"N", 10}, {"K", 7}}, 45007);
 }
 
+TEST(FuzzRegression, LargeLocalArrayRunsInTheSandbox)
+{
+    // Minimized from blur seed 19007 in the ASan+UBSan tree: three
+    // expand_dims make blur_x a 278 KB local array. The sandboxed
+    // child's RLIMIT_AS, already exceeded by ASan's shadow memory,
+    // made its stack growth fault, and lint had (rightly) proven the
+    // schedule safe: a false lint-soundness report.
+    expect_chain_agrees(kernels::blur(),
+                        "expand_dim[817559,877732,989037]\n"
+                        "expand_dim[76606,984808,991973]\n"
+                        "expand_dim[746027,179759,610451]\n",
+                        {{"H", 32}, {"W", 256}}, 19007);
+}
+
 // ---- 3. Tri-oracle parity for library-scheduled kernels -----------------
 
 TEST(TriOracleParity, Level1AllKernels)
