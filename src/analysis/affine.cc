@@ -82,29 +82,37 @@ canonical_atom(const ExprPtr& e)
     return changed ? e->with_children(std::move(kids)) : e;
 }
 
+/** Add `coeff * atom` for an atom already in canonical form. */
 void
-add_term(Affine* a, const ExprPtr& raw_atom, int64_t coeff)
+add_canonical_term(Affine* a, AtomKey key, const ExprPtr& atom,
+                   int64_t coeff)
 {
     if (coeff == 0)
         return;
+    LinTerm& t = a->terms[key];
+    if (!t.atom)
+        t.atom = atom;
+    t.coeff += coeff;
+    if (t.coeff == 0)
+        a->terms.erase(key);
+}
+
+void
+add_term(Affine* a, const ExprPtr& raw_atom, int64_t coeff)
+{
     ExprPtr atom = canonical_atom(raw_atom);
-    AtomKey key = atom->intern_id();
-    auto it = a->terms.find(key);
-    if (it == a->terms.end()) {
-        a->terms[key] = LinTerm{atom, coeff};
-    } else {
-        it->second.coeff += coeff;
-        if (it->second.coeff == 0)
-            a->terms.erase(it);
-    }
+    add_canonical_term(a, atom->intern_id(), atom, coeff);
 }
 
 void
 accumulate(Affine* out, const Affine& a, int64_t scale)
 {
+    // Atoms of an Affine are canonical already (canonical_atom is
+    // idempotent), so they keep their keys.
     out->constant += scale * a.constant;
+    out->terms.reserve(out->terms.size() + a.terms.size());
     for (const auto& [key, term] : a.terms)
-        add_term(out, term.atom, scale * term.coeff);
+        add_canonical_term(out, key, term.atom, scale * term.coeff);
 }
 
 /**

@@ -16,10 +16,12 @@
  * while remaining conservative.
  */
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/ir/expr.h"
 
@@ -35,11 +37,69 @@ struct LinTerm
     int64_t coeff = 0;
 };
 
+/**
+ * The terms of an Affine: `(atom key, term)` pairs in a vector sorted by
+ * key. It keeps the part of the `std::map` interface its users need
+ * (ordered iteration, `find`, `erase`, `operator[]`, `size`/`empty`), at
+ * one allocation per form instead of one per term. Keys iterate in
+ * ascending order, as the map's did, so hashes, elimination order and
+ * emitted expressions do not depend on the container.
+ */
+class AffineTerms
+{
+  public:
+    using value_type = std::pair<AtomKey, LinTerm>;
+    using iterator = std::vector<value_type>::iterator;
+    using const_iterator = std::vector<value_type>::const_iterator;
+
+    iterator begin() { return v_.begin(); }
+    iterator end() { return v_.end(); }
+    const_iterator begin() const { return v_.begin(); }
+    const_iterator end() const { return v_.end(); }
+    size_t size() const { return v_.size(); }
+    bool empty() const { return v_.empty(); }
+    void clear() { v_.clear(); }
+    void reserve(size_t n) { v_.reserve(n); }
+
+    const_iterator find(AtomKey key) const
+    {
+        auto it = std::lower_bound(v_.begin(), v_.end(), key, key_less);
+        return it != v_.end() && it->first == key ? it : v_.end();
+    }
+
+    void erase(AtomKey key)
+    {
+        auto it = find(key);
+        if (it != v_.end())
+            v_.erase(it);
+    }
+
+    /** The term for `key`, inserted as `LinTerm{}` if absent. Appending
+     *  in key order (the common case) costs no search. */
+    LinTerm& operator[](AtomKey key)
+    {
+        if (v_.empty() || v_.back().first < key)
+            return v_.emplace_back(key, LinTerm{}).second;
+        auto it = std::lower_bound(v_.begin(), v_.end(), key, key_less);
+        if (it == v_.end() || it->first != key)
+            it = v_.emplace(it, key, LinTerm{});
+        return it->second;
+    }
+
+  private:
+    static bool key_less(const value_type& e, AtomKey k)
+    {
+        return e.first < k;
+    }
+
+    std::vector<value_type> v_;
+};
+
 /** `constant + sum(terms)`, terms keyed by atom intern id. */
 struct Affine
 {
     int64_t constant = 0;
-    std::map<AtomKey, LinTerm> terms;
+    AffineTerms terms;
 
     bool is_const() const { return terms.empty(); }
 

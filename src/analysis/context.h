@@ -6,6 +6,11 @@
  * Program-point contexts: the facts (asserts, loop ranges, guards) in
  * scope at a location, packaged as a LinearSystem plus the ordered list
  * of enclosing loop binders. All primitive safety checks query these.
+ *
+ * A walk keeps one Context and takes it by reference: it enters a loop
+ * or a guard through a `Context::Scope`, which pops the binder and the
+ * hypotheses when the walk leaves the statement. Contexts, like
+ * systems, are move-only.
  */
 
 #include <string>
@@ -30,6 +35,8 @@ struct LoopBinder
 class Context
 {
   public:
+    class Scope;
+
     /** Build the context of the node at `path` in `p` (facts from
      *  asserts, size-arg nonnegativity, enclosing loops and guards).
      *  The node's own binder (if a For) is NOT in scope. */
@@ -40,7 +47,6 @@ class Context
 
     const std::vector<LoopBinder>& binders() const { return binders_; }
     const LinearSystem& system() const { return sys_; }
-    LinearSystem& system() { return sys_; }
 
     /** Push an extra loop binder (used when descending manually). */
     void enter_loop(const std::string& name, const ExprPtr& lo,
@@ -83,6 +89,38 @@ class Context
   private:
     LinearSystem sys_;
     std::vector<LoopBinder> binders_;
+};
+
+/**
+ * Scoped extension of a Context: loops entered and guards assumed
+ * through it are removed from the binders and the system when it ends,
+ * also on unwind. Scopes nest in block order, as LinearSystem::Scope
+ * does.
+ */
+class Context::Scope
+{
+  public:
+    explicit Scope(Context& ctx)
+        : ctx_(ctx), binders_(ctx.binders_.size()), sys_(ctx.sys_)
+    {
+    }
+    ~Scope() { ctx_.binders_.resize(binders_); }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+    void enter_loop(const std::string& name, const ExprPtr& lo,
+                    const ExprPtr& hi)
+    {
+        ctx_.enter_loop(name, lo, hi);
+    }
+    void assume(const ExprPtr& pred) { sys_.add_pred(pred); }
+    /** Assume the negation of `pred` where expressible. */
+    void assume_not(const ExprPtr& pred) { sys_.add_pred_negated(pred); }
+
+  private:
+    Context& ctx_;
+    size_t binders_;
+    LinearSystem::Scope sys_;
 };
 
 /** Structural negation of a comparison predicate (null if impossible). */

@@ -388,7 +388,7 @@ rename_binders(const Access& a)
 }
 
 void
-assume_access(LinearSystem* sys, const Access& a)
+assume_access(LinearSystem::Scope* sys, const Access& a)
 {
     for (const auto& b : a.binders) {
         sys->add_pred(Expr::make_binop(BinOpKind::Ge, var(b.name), b.lo));
@@ -544,13 +544,13 @@ accesses_conflict(const Context& ctx, const Access& a, const Access& b)
         return true;  // shape confusion: conservative
     // Overlap test: feasible that all indices are equal?
     Access rb = rename_binders(b);
-    LinearSystem sys = ctx.system();
+    LinearSystem::Scope sys(ctx.system());
     assume_access(&sys, a);
     assume_access(&sys, rb);
     for (size_t d = 0; d < a.idx.size(); d++) {
         sys.add_eq0(affine_sub(to_affine(a.idx[d]), to_affine(rb.idx[d])));
     }
-    return !sys.infeasible();
+    return !ctx.system().infeasible();
 }
 
 bool
@@ -735,7 +735,7 @@ cross_iteration_conflicts(const Context& ctx, const StmtPtr& loop,
             }
             rb = rename_binders(rb);
             ra = rename_binders(ra);
-            LinearSystem sys = ctx.system();
+            LinearSystem::Scope sys(ctx.system());
             // Loop ranges for both iteration copies.
             for (const auto& nm : {i1, i2}) {
                 sys.add_pred(
@@ -750,7 +750,7 @@ cross_iteration_conflicts(const Context& ctx, const StmtPtr& loop,
                 sys.add_eq0(
                     affine_sub(to_affine(ra.idx[d]), to_affine(rb.idx[d])));
             }
-            if (!sys.infeasible()) {
+            if (!ctx.system().infeasible()) {
                 emit(a, b,
                      "possible cross-iteration dependence on '" + a.buf +
                          "': ",

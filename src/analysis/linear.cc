@@ -224,6 +224,24 @@ LinearSystem::axiomatize_atoms(const Affine& a)
     }
 }
 
+LinearSystem::Scope::Scope(const LinearSystem& sys)
+    : sys_(const_cast<LinearSystem&>(sys)),
+      rows_(sys.ge0_.size()),
+      axioms_(sys.axiomatized_.size()),
+      sig1_(sys.sig1_),
+      sig2_(sys.sig2_)
+{
+}
+
+LinearSystem::Scope::~Scope()
+{
+    sys_.ge0_.erase(sys_.ge0_.begin() + static_cast<ptrdiff_t>(rows_),
+                    sys_.ge0_.end());
+    sys_.axiomatized_.resize(axioms_);
+    sys_.sig1_ = sig1_;
+    sys_.sig2_ = sig2_;
+}
+
 void
 LinearSystem::add_ge0(const Affine& a)
 {
@@ -377,11 +395,11 @@ LinearSystem::infeasible_uncached() const
         for (auto& c : cs) {
             int64_t co = c.coeff_of_key(var);
             if (co > 0)
-                pos.push_back(c);
+                pos.push_back(std::move(c));
             else if (co < 0)
-                neg.push_back(c);
+                neg.push_back(std::move(c));
             else
-                rest.push_back(c);
+                rest.push_back(std::move(c));
         }
         // Combine every (lower, upper) bound pair.
         for (const auto& p : pos) {
@@ -434,16 +452,18 @@ LinearSystem::infeasible_uncached() const
 bool
 LinearSystem::implies_ge0(const Affine& a) const
 {
-    if (!analysis_memo_enabled()) {
-        // Refute a <= -1.
-        LinearSystem s = *this;
+    // Refute a <= -1.
+    auto refute = [&] {
+        Scope hyp(*this);
         Affine neg = affine_neg(a);
         neg.constant -= 1;
-        s.add_ge0(neg);
-        return s.infeasible();
-    }
+        hyp.add_ge0(neg);
+        return infeasible();
+    };
+    if (!analysis_memo_enabled())
+        return refute();
     // The (system digest, query hash) pair determines the answer, so a
-    // hit skips both the system copy and the elimination.
+    // hit skips the elimination.
     uint64_t qh = affine_hash(a);
     std::pair<uint64_t, uint64_t> key{
         hash_combine(hash_combine(sig1_, ge0_.size()), qh),
@@ -455,11 +475,7 @@ LinearSystem::implies_ge0(const Affine& a) const
         return it->second;
     }
     EXO2_COUNT("analysis.linear_misses");
-    LinearSystem s = *this;
-    Affine neg = affine_neg(a);
-    neg.constant -= 1;
-    s.add_ge0(neg);
-    bool ans = s.infeasible();
+    bool ans = refute();
     if (cache.size() >= kLinearMemoCap)
         cache.clear();
     cache.emplace(key, ans);
@@ -513,9 +529,9 @@ LinearSystem::implies_pred(const ExprPtr& cond) const
       case BinOpKind::Eq:
         return implies_eq0(affine_sub(l, r));
       case BinOpKind::Ne: {
-        LinearSystem s1 = *this;
-        s1.add_eq0(affine_sub(l, r));
-        return s1.infeasible();
+        Scope hyp(*this);
+        hyp.add_eq0(affine_sub(l, r));
+        return infeasible();
       }
       default:
         return false;
@@ -542,10 +558,10 @@ LinearSystem::implies_divisible(const ExprPtr& e, int64_t k) const
         return true;
     // General path: prove e % k == 0 through the mod axioms.
     ExprPtr mod = Expr::make_binop(BinOpKind::Mod, e, idx_const(k));
-    LinearSystem s = *this;
+    Scope hyp(*this);
     Affine m = to_affine(mod);
-    s.add_ge0(m);  // triggers axiomatization
-    return s.implies_eq0(m);
+    hyp.add_ge0(m);  // triggers axiomatization
+    return implies_eq0(m);
 }
 
 }  // namespace exo2

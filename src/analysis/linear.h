@@ -11,6 +11,10 @@
  * `0 <= e%c < c`), then queries are decided by Fourier–Motzkin
  * elimination with integer tightening. The checker is conservative:
  * "not provable" answers reject a rewrite, never accept one.
+ *
+ * No query copies a system: extra hypotheses go on the system itself
+ * through a `LinearSystem::Scope` (below), in the order a copy would
+ * have held them, so memo keys and answers are those of a copy.
  */
 
 #include <vector>
@@ -19,10 +23,17 @@
 
 namespace exo2 {
 
-/** A conjunction of affine constraints `a >= 0`. */
+/** A conjunction of affine constraints `a >= 0`. Move-only: extend a
+ *  system with a Scope instead of copying it. */
 class LinearSystem
 {
   public:
+    class Scope;
+
+    LinearSystem() = default;
+    LinearSystem(LinearSystem&&) = default;
+    LinearSystem& operator=(LinearSystem&&) = default;
+
     /** Add constraint `a >= 0`, axiomatizing new div/mod atoms. */
     void add_ge0(const Affine& a);
 
@@ -75,14 +86,51 @@ class LinearSystem
     /** Run Fourier–Motzkin without consulting the memo cache. */
     bool infeasible_uncached() const;
 
-    std::vector<Affine> ge0_;
-    std::vector<AtomKey> axiomatized_;
+    // Mutable: a Scope extends the system's own state for the length of
+    // a const query and restores it before the query returns, so every
+    // const member leaves the system as it found it. This is safe for
+    // the reason the memo caches are (analysis/memo.h): the analyses are
+    // single-threaded, and the scoring pool never touches a system.
+    mutable std::vector<Affine> ge0_;
+    mutable std::vector<AtomKey> axiomatized_;
 
     /** Incremental order-insensitive digest of ge0_ (two independent
      *  commutative sums), used as the memo key for implication and
      *  infeasibility queries. Updated by add_ge0. */
-    uint64_t sig1_ = 0;
-    uint64_t sig2_ = 0;
+    mutable uint64_t sig1_ = 0;
+    mutable uint64_t sig2_ = 0;
+};
+
+/**
+ * Scoped hypotheses over an existing system. Constraints added through
+ * (or after) the guard are removed when it ends, also on unwind: the
+ * rows, the div/mod axioms they introduced and the digest all return to
+ * their state at construction. Scopes nest and must end in reverse
+ * order of construction, which block scoping gives for free. Queries
+ * made while a Scope is open see its hypotheses.
+ */
+class LinearSystem::Scope
+{
+  public:
+    explicit Scope(const LinearSystem& sys);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+    void add_ge0(const Affine& a) { sys_.add_ge0(a); }
+    void add_eq0(const Affine& a) { sys_.add_eq0(a); }
+    void add_pred(const ExprPtr& cond) { sys_.add_pred(cond); }
+    void add_pred_negated(const ExprPtr& cond)
+    {
+        sys_.add_pred_negated(cond);
+    }
+
+  private:
+    LinearSystem& sys_;  // every data member is mutable (see above)
+    size_t rows_;
+    size_t axioms_;
+    uint64_t sig1_;
+    uint64_t sig2_;
 };
 
 }  // namespace exo2

@@ -22,6 +22,11 @@
  * take a lock (ir/expr.cc) because IR *construction* is also reachable
  * from bench/test harness setup paths; the analyses themselves must
  * not be called concurrently until these caches grow synchronization.
+ * The same rule covers `LinearSystem::Scope` (analysis/linear.h): a
+ * const query extends the system it is asked of and restores it before
+ * returning, so a system, like a cache, belongs to one thread at a
+ * time. The tuner's scoring pool runs only the cost simulator and never
+ * touches a system.
  */
 
 #include <cstdint>

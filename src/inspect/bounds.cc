@@ -52,7 +52,7 @@ infer(const ProcPtr& p, const Cursor& scope, const std::string& buf,
 {
     Cursor sc = p->forward(scope);
     StmtPtr root = sc.stmt();
-    Context base = Context::at(p, sc.loc().path);
+    Context ctx = Context::at(p, sc.loc().path);
     struct Acc
     {
         std::vector<ExprPtr> lo;
@@ -143,7 +143,6 @@ infer(const ProcPtr& p, const Cursor& scope, const std::string& buf,
             throw SchedulingError("infer_bounds: mixed access arity");
     }
     // Union: smallest lo, largest hi per dim (provably ordered).
-    Context ctx = base;
     if (root->kind() == StmtKind::For)
         ctx.enter_loop(root->iter(), root->lo(), root->hi());
     std::vector<WindowDim> out;

@@ -87,8 +87,7 @@ class BoundsWalker
         }
         // Proven violation: every valuation the facts admit puts the
         // index outside [0, hi), and the point is not provably dead.
-        LinearSystem sys = ctx.system();
-        bool reachable = !sys.infeasible();
+        bool reachable = !ctx.system().infeasible();
         Affine below = to_affine(e);  // e <= -1  <=>  -e - 1 >= 0
         below = affine_neg(below);
         below.constant -= 1;
@@ -264,27 +263,27 @@ class BoundsWalker
           case StmtKind::For: {
             expr(ctx, path, s->lo());
             expr(ctx, path, s->hi());
-            Context inner = ctx;
-            inner.enter_loop(s->iter(), s->lo(), s->hi());
+            Context::Scope in(ctx);
+            in.enter_loop(s->iter(), s->lo(), s->hi());
             Path bpath = path;
-            block(inner, s->body(), PathLabel::Body, bpath);
+            block(ctx, s->body(), PathLabel::Body, bpath);
             return;
           }
           case StmtKind::If: {
             expr(ctx, path, s->cond());
             {
-                Context inner = ctx;
-                inner.assume(s->cond());
+                Context::Scope in(ctx);
+                in.assume(s->cond());
                 Path bpath = path;
-                block(inner, s->body(), PathLabel::Body, bpath);
+                block(ctx, s->body(), PathLabel::Body, bpath);
             }
             if (!s->orelse().empty()) {
-                Context inner = ctx;
+                Context::Scope in(ctx);
                 ExprPtr nc = negate_pred(s->cond());
                 if (nc)
-                    inner.assume(nc);
+                    in.assume(nc);
                 Path bpath = path;
-                block(inner, s->orelse(), PathLabel::Orelse, bpath);
+                block(ctx, s->orelse(), PathLabel::Orelse, bpath);
             }
             return;
           }

@@ -664,7 +664,7 @@ visit_expr_accesses(
 
 void
 visit_stmt_accesses(
-    Context ctx, const StmtPtr& s, const std::string& name,
+    Context& ctx, const StmtPtr& s, const std::string& name,
     const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
         visit)
 {
@@ -682,10 +682,10 @@ visit_stmt_accesses(
       case StmtKind::For: {
         if (s->iter() == name)
             return;  // iterator shadows the buffer in the body
-        Context inner = ctx;
-        inner.enter_loop(s->iter(), s->lo(), s->hi());
+        Context::Scope in(ctx);
+        in.enter_loop(s->iter(), s->lo(), s->hi());
         for (const auto& c : s->body()) {
-            visit_stmt_accesses(inner, c, name, visit);
+            visit_stmt_accesses(ctx, c, name, visit);
             if (shadows_name(c, name))
                 break;
         }
@@ -693,17 +693,19 @@ visit_stmt_accesses(
       }
       case StmtKind::If: {
         visit_expr_accesses(ctx, s->cond(), name, visit);
-        Context tctx = ctx;
-        tctx.assume(s->cond());
-        for (const auto& c : s->body()) {
-            visit_stmt_accesses(tctx, c, name, visit);
-            if (shadows_name(c, name))
-                break;
+        {
+            Context::Scope in(ctx);
+            in.assume(s->cond());
+            for (const auto& c : s->body()) {
+                visit_stmt_accesses(ctx, c, name, visit);
+                if (shadows_name(c, name))
+                    break;
+            }
         }
-        Context ectx = ctx;
-        ectx.system().add_pred_negated(s->cond());
+        Context::Scope in(ctx);
+        in.assume_not(s->cond());
         for (const auto& c : s->orelse()) {
-            visit_stmt_accesses(ectx, c, name, visit);
+            visit_stmt_accesses(ctx, c, name, visit);
             if (shadows_name(c, name))
                 break;
         }
@@ -726,7 +728,7 @@ visit_stmt_accesses(
 
 void
 visit_stmt_buffer_accesses(
-    const Context& base, const StmtPtr& s, const std::string& name,
+    Context& base, const StmtPtr& s, const std::string& name,
     const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
         visit)
 {

@@ -148,9 +148,10 @@ void visit_alloc_scope_accesses(
     const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
         visit);
 
-/** Visit accesses of one statement under an explicit base context. */
+/** Visit accesses of one statement under an explicit base context. The
+ *  walk extends `base` in place and leaves it as it found it. */
 void visit_stmt_buffer_accesses(
-    const Context& base, const StmtPtr& s, const std::string& name,
+    Context& base, const StmtPtr& s, const std::string& name,
     const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
         visit);
 

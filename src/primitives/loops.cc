@@ -376,7 +376,7 @@ fission(const ProcPtr& p, const Cursor& gap, int n_lifts)
                     bool conflict = true;
                     if (!a.whole_buffer && !b.whole_buffer &&
                         a.idx.size() == b.idx.size() && !a.idx.empty()) {
-                        LinearSystem sys = ctx.system();
+                        LinearSystem::Scope sys(ctx.system());
                         for (const auto& nm : {i1, i2}) {
                             sys.add_pred(Expr::make_binop(
                                 BinOpKind::Ge, var(nm), loop_stmt->lo()));
@@ -412,7 +412,7 @@ fission(const ProcPtr& p, const Cursor& gap, int n_lifts)
                                 to_affine(
                                     expr_subst(b.idx[d], iter, var(i2)))));
                         }
-                        conflict = !sys.infeasible();
+                        conflict = !ctx.system().infeasible();
                     }
                     require(!conflict,
                             "fission: loop-carried dependence on '" +

@@ -1,5 +1,7 @@
 #include "src/primitives/scope.h"
 
+#include <map>
+
 #include "src/primitives/loops.h"
 
 #include "src/analysis/effects.h"
@@ -224,11 +226,11 @@ fuse(const ProcPtr& p, const Cursor& scope1, const Cursor& scope2)
                 }
                 if (w.size() != r.size())
                     return false;
-                Context fctx = ctx;
-                fctx.enter_loop(s1->iter(), s1->lo(), s1->hi());
+                Context::Scope in(ctx);
+                in.enter_loop(s1->iter(), s1->lo(), s1->hi());
                 for (size_t d = 0; d < w.size(); d++) {
-                    if (!fctx.prove_le(w[d].lo, r[d].lo) ||
-                        !fctx.prove_le(r[d].hi, w[d].hi)) {
+                    if (!ctx.prove_le(w[d].lo, r[d].lo) ||
+                        !ctx.prove_le(r[d].hi, w[d].hi)) {
                         return false;
                     }
                 }
@@ -258,7 +260,7 @@ fuse(const ProcPtr& p, const Cursor& scope1, const Cursor& scope2)
                     bool conflict = true;
                     if (!a.whole_buffer && !b.whole_buffer &&
                         a.idx.size() == b.idx.size() && !a.idx.empty()) {
-                        LinearSystem sys = ctx.system();
+                        LinearSystem::Scope sys(ctx.system());
                         sys.add_pred(Expr::make_binop(
                             BinOpKind::Ge, var(i1), s1->lo()));
                         sys.add_pred(Expr::make_binop(
@@ -296,7 +298,7 @@ fuse(const ProcPtr& p, const Cursor& scope1, const Cursor& scope2)
                                 to_affine(expr_subst(b.idx[d], s2->iter(),
                                                      var(i2)))));
                         }
-                        conflict = !sys.infeasible();
+                        conflict = !ctx.system().infeasible();
                     }
                     if (conflict) {
                         auto it = recompute_cache.find(a.buf);

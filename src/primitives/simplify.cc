@@ -189,10 +189,10 @@ class Simplifier
     const Context& ctx_;
 };
 
-StmtPtr simplify_stmt(Context ctx, const StmtPtr& s);
+StmtPtr simplify_stmt(Context& ctx, const StmtPtr& s);
 
 std::vector<StmtPtr>
-simplify_block(const Context& ctx, const std::vector<StmtPtr>& b)
+simplify_block(Context& ctx, const std::vector<StmtPtr>& b)
 {
     std::vector<StmtPtr> out;
     out.reserve(b.size());
@@ -202,7 +202,7 @@ simplify_block(const Context& ctx, const std::vector<StmtPtr>& b)
 }
 
 StmtPtr
-simplify_stmt(Context ctx, const StmtPtr& s)
+simplify_stmt(Context& ctx, const StmtPtr& s)
 {
     // Every case returns `s` unchanged when simplification was a no-op
     // (vector == compares elementwise shared_ptrs, which interning
@@ -231,9 +231,12 @@ simplify_stmt(Context ctx, const StmtPtr& s)
       case StmtKind::For: {
         ExprPtr lo = rw(s->lo());
         ExprPtr hi = rw(s->hi());
-        Context inner = ctx;
-        inner.enter_loop(s->iter(), lo, hi);
-        std::vector<StmtPtr> body = simplify_block(inner, s->body());
+        std::vector<StmtPtr> body;
+        {
+            Context::Scope in(ctx);
+            in.enter_loop(s->iter(), lo, hi);
+            body = simplify_block(ctx, s->body());
+        }
         if (lo == s->lo() && hi == s->hi() && body == s->body())
             return s;
         return s->with_bounds(std::move(lo), std::move(hi))
@@ -241,12 +244,18 @@ simplify_stmt(Context ctx, const StmtPtr& s)
       }
       case StmtKind::If: {
         ExprPtr cond = rw(s->cond());
-        Context tctx = ctx;
-        tctx.assume(cond);
-        Context ectx = ctx;
-        ectx.system().add_pred_negated(cond);
-        std::vector<StmtPtr> body = simplify_block(tctx, s->body());
-        std::vector<StmtPtr> orelse = simplify_block(ectx, s->orelse());
+        std::vector<StmtPtr> body;
+        std::vector<StmtPtr> orelse;
+        {
+            Context::Scope in(ctx);
+            in.assume(cond);
+            body = simplify_block(ctx, s->body());
+        }
+        {
+            Context::Scope in(ctx);
+            in.assume_not(cond);
+            orelse = simplify_block(ctx, s->orelse());
+        }
         if (cond == s->cond() && body == s->body() &&
             orelse == s->orelse()) {
             return s;
@@ -299,7 +308,7 @@ namespace {
 /** Locate the first dead For/If under the proc; returns its path. */
 bool
 find_dead(const ProcPtr& p, const std::vector<StmtPtr>& b, Path prefix,
-          PathLabel label, const Context& ctx, Path* out, int* mode)
+          PathLabel label, Context& ctx, Path* out, int* mode)
 {
     for (size_t i = 0; i < b.size(); i++) {
         const StmtPtr& s = b[i];
@@ -311,9 +320,9 @@ find_dead(const ProcPtr& p, const std::vector<StmtPtr>& b, Path prefix,
                 *mode = 0;  // zero-trip loop
                 return true;
             }
-            Context inner = ctx;
-            inner.enter_loop(s->iter(), s->lo(), s->hi());
-            if (find_dead(p, s->body(), here, PathLabel::Body, inner, out,
+            Context::Scope in(ctx);
+            in.enter_loop(s->iter(), s->lo(), s->hi());
+            if (find_dead(p, s->body(), here, PathLabel::Body, ctx, out,
                           mode)) {
                 return true;
             }
@@ -329,15 +338,17 @@ find_dead(const ProcPtr& p, const std::vector<StmtPtr>& b, Path prefix,
                 *mode = 2;  // always false
                 return true;
             }
-            Context tctx = ctx;
-            tctx.assume(s->cond());
-            if (find_dead(p, s->body(), here, PathLabel::Body, tctx, out,
-                          mode)) {
-                return true;
+            {
+                Context::Scope in(ctx);
+                in.assume(s->cond());
+                if (find_dead(p, s->body(), here, PathLabel::Body, ctx,
+                              out, mode)) {
+                    return true;
+                }
             }
-            Context ectx = ctx;
-            ectx.system().add_pred_negated(s->cond());
-            if (find_dead(p, s->orelse(), here, PathLabel::Orelse, ectx,
+            Context::Scope in(ctx);
+            in.assume_not(s->cond());
+            if (find_dead(p, s->orelse(), here, PathLabel::Orelse, ctx,
                           out, mode)) {
                 return true;
             }

@@ -1,6 +1,7 @@
 #include "src/sched/vectorize.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "src/analysis/effects.h"

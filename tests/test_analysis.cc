@@ -6,13 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "src/analysis/effects.h"
+#include "src/analysis/memo.h"
 #include "src/frontend/parser.h"
 #include "src/ir/builder.h"
+#include "src/util/rng.h"
 
 namespace exo2 {
 namespace {
@@ -35,6 +40,122 @@ TEST(Affine, OpaqueAtoms)
     EXPECT_EQ(a.coeff_of("n / 8"), 2);
     Affine b = to_affine(parse_expr_str("i * j"));
     EXPECT_EQ(b.coeff_of("i * j"), 1);
+}
+
+TEST(Affine, TermsStaySortedByKey)
+{
+    // Random operator[] / erase / find sequences against a std::map
+    // reference: same contents, iterated in ascending key order. Keys
+    // come from a small range, so inserts land before, between and
+    // after existing keys, and erases hit present and absent keys.
+    ExprPtr atom = var("x");
+    AffineTerms terms;
+    std::map<AtomKey, int64_t> ref;
+    XorShiftRng rng(23);
+    for (int step = 0; step < 4000; step++) {
+        AtomKey key = static_cast<AtomKey>(rng.below(24));
+        switch (rng.below(3)) {
+          case 0: {
+            int64_t c = rng.below(100) + 1;
+            LinTerm& t = terms[key];
+            t.atom = atom;
+            t.coeff = c;
+            ref[key] = c;
+            break;
+          }
+          case 1:
+            terms.erase(key);
+            ref.erase(key);
+            break;
+          default: {
+            auto it = terms.find(key);
+            auto rit = ref.find(key);
+            ASSERT_EQ(it == terms.end(), rit == ref.end()) << "step " << step;
+            if (it != terms.end()) {
+                EXPECT_EQ(it->first, key);
+                EXPECT_EQ(it->second.coeff, rit->second);
+            }
+            break;
+          }
+        }
+        ASSERT_EQ(terms.size(), ref.size()) << "step " << step;
+        ASSERT_EQ(terms.empty(), ref.empty());
+        auto rit = ref.begin();
+        for (const auto& [k, t] : terms) {
+            ASSERT_EQ(k, rit->first) << "step " << step;
+            ASSERT_EQ(t.coeff, rit->second) << "step " << step;
+            ++rit;
+        }
+    }
+}
+
+TEST(Linear, ScopedQueriesLeaveTheSystemUnchanged)
+{
+    // Names unique to this test, so the first query is a memo miss.
+    LinearSystem sys;
+    sys.add_pred(parse_expr_str("scq_n % 8 == 0"));
+    sys.add_pred(parse_expr_str("scq_n >= 0"));
+    sys.add_pred(parse_expr_str("scq_i >= 0"));
+    sys.add_pred(parse_expr_str("scq_i < scq_n"));
+    const size_t rows = sys.size();
+    const ExprPtr first = parse_expr_str("scq_n - 1 - scq_i");
+
+    // Asking the first query again must hit the memo with no new miss:
+    // the digest after every scope is the one the first query saw.
+    auto expect_first_query_hits = [&](const char* after) {
+        EXPECT_EQ(sys.size(), rows) << after;
+        AnalysisMemoStats before = analysis_memo_stats();
+        EXPECT_TRUE(sys.implies_ge0(first)) << after;
+        AnalysisMemoStats now = analysis_memo_stats();
+        EXPECT_EQ(now.linear_hits, before.linear_hits + 1) << after;
+        EXPECT_EQ(now.linear_misses, before.linear_misses) << after;
+    };
+
+    ASSERT_TRUE(analysis_memo_enabled());
+    AnalysisMemoStats before = analysis_memo_stats();
+    EXPECT_TRUE(sys.implies_ge0(first));  // miss
+    EXPECT_GT(analysis_memo_stats().linear_misses, before.linear_misses);
+    expect_first_query_hits("implies_ge0 miss");
+    expect_first_query_hits("implies_ge0 hit");
+
+    // Divisibility through the mod axioms (not the coefficient fast
+    // path): axiomatizes new `%` atoms inside the query's scope.
+    EXPECT_TRUE(sys.implies_divisible(parse_expr_str("scq_n"), 4));
+    EXPECT_FALSE(sys.implies_divisible(parse_expr_str("scq_n"), 16));
+    // Again: the scope also forgot which atoms it axiomatized, so the
+    // second query axiomatizes `scq_n % 4` afresh.
+    EXPECT_TRUE(sys.implies_divisible(parse_expr_str("scq_n"), 4));
+    expect_first_query_hits("implies_divisible");
+
+    EXPECT_TRUE(sys.implies_pred(parse_expr_str("scq_i != scq_n")));
+    EXPECT_FALSE(sys.implies_pred(parse_expr_str("scq_i != 0")));
+    expect_first_query_hits("implies_pred(Ne)");
+
+    {
+        LinearSystem::Scope outer(sys);
+        outer.add_pred(parse_expr_str("scq_i >= scq_n"));
+        const size_t with_outer = sys.size();
+        EXPECT_GT(with_outer, rows);
+        EXPECT_TRUE(sys.infeasible());
+        {
+            LinearSystem::Scope inner(sys);
+            inner.add_pred(parse_expr_str("scq_j % 4 == 1"));
+            EXPECT_GT(sys.size(), with_outer);
+        }
+        EXPECT_EQ(sys.size(), with_outer);
+        EXPECT_TRUE(sys.infeasible());
+    }
+    EXPECT_FALSE(sys.infeasible());
+    expect_first_query_hits("nested scopes");
+
+    try {
+        LinearSystem::Scope hyp(sys);
+        hyp.add_pred(parse_expr_str("scq_i / 4 == 2"));
+        EXPECT_GT(sys.size(), rows);
+        throw std::runtime_error("unwind");
+    } catch (const std::runtime_error&) {
+    }
+    expect_first_query_hits("exception inside a scope");
 }
 
 TEST(Linear, SimpleImplication)
