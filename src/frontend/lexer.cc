@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <string_view>
+#include <utility>
 
 #include "src/ir/errors.h"
 
@@ -21,16 +23,20 @@ is_name_char(char c)
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
+/** Single-character symbols. */
+constexpr std::string_view kSymbolChars = "()[]:,.=@+-*/%<>";
+
 }  // namespace
 
 std::vector<Token>
 tokenize(const std::string& src)
 {
+    const size_t n = src.size();
     std::vector<Token> toks;
+    toks.reserve(n / 2 + 8);  // kernel sources run ~2 chars per token
     std::vector<int> indents{0};
     size_t i = 0;
     int line = 1;
-    const size_t n = src.size();
 
     auto error = [&](const std::string& msg) {
         throw SchedulingError("lex error at line " + std::to_string(line) +
@@ -134,25 +140,25 @@ tokenize(const std::string& src)
             Token t{TokKind::Number, src.substr(i, j - i), 0, is_float, line,
                     col};
             t.number = std::strtod(t.text.c_str(), nullptr);
-            toks.push_back(t);
+            toks.push_back(std::move(t));
             i = j;
             continue;
         }
-        // Multi-char symbols first.
-        auto two = (i + 1 < n) ? src.substr(i, 2) : std::string();
-        if (two == "+=" || two == "<=" || two == ">=" || two == "==" ||
-            two == "!=") {
-            toks.push_back({TokKind::Symbol, two, 0, false, line, col});
+        // Multi-char symbols first: `+=`, `<=`, `>=`, `==`, `!=`.
+        if (i + 1 < n && src[i + 1] == '=' &&
+            (c == '+' || c == '<' || c == '>' || c == '=' || c == '!')) {
+            toks.push_back({TokKind::Symbol, std::string{c, '='}, 0, false,
+                            line, col});
             i += 2;
             continue;
         }
-        std::string one(1, c);
         if (c == '(' || c == '[')
             paren_depth++;
         if (c == ')' || c == ']')
             paren_depth--;
-        if (std::string("()[]:,.=@+-*/%<>").find(c) != std::string::npos) {
-            toks.push_back({TokKind::Symbol, one, 0, false, line, col});
+        if (kSymbolChars.find(c) != std::string_view::npos) {
+            toks.push_back({TokKind::Symbol, std::string(1, c), 0, false,
+                            line, col});
             i++;
             continue;
         }

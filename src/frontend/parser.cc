@@ -2,6 +2,7 @@
 
 #include <map>
 #include <optional>
+#include <string_view>
 
 #include "src/frontend/lexer.h"
 #include "src/ir/builder.h"
@@ -36,14 +37,17 @@ class Parser
         return i < toks_.size() ? toks_[i] : toks_.back();
     }
 
-    Token next() { return toks_[pos_ < toks_.size() - 1 ? pos_++ : pos_]; }
+    const Token& next()
+    {
+        return toks_[pos_ < toks_.size() - 1 ? pos_++ : pos_];
+    }
 
-    bool at_symbol(const std::string& s, int ahead = 0) const
+    bool at_symbol(std::string_view s, int ahead = 0) const
     {
         return peek(ahead).kind == TokKind::Symbol && peek(ahead).text == s;
     }
 
-    bool at_name(const std::string& s, int ahead = 0) const
+    bool at_name(std::string_view s, int ahead = 0) const
     {
         return peek(ahead).kind == TokKind::Name && peek(ahead).text == s;
     }
@@ -55,17 +59,17 @@ class Parser
             msg + " (got '" + peek().text + "')");
     }
 
-    void expect_symbol(const std::string& s)
+    void expect_symbol(std::string_view s)
     {
         if (!at_symbol(s))
-            error("expected '" + s + "'");
+            error("expected '" + std::string(s) + "'");
         next();
     }
 
-    void expect_name(const std::string& s)
+    void expect_name(std::string_view s)
     {
         if (!at_name(s))
-            error("expected '" + s + "'");
+            error("expected '" + std::string(s) + "'");
         next();
     }
 
@@ -115,7 +119,7 @@ class Parser
     ExprPtr parse_expr(int min_prec = 0);
     ExprPtr parse_atom();
     ExprPtr parse_access(const std::string& name);
-    std::vector<ExprPtr> parse_expr_list(const std::string& close);
+    std::vector<ExprPtr> parse_expr_list(std::string_view close);
 
     std::vector<Token> toks_;
     std::vector<ProcPtr> procs_;
@@ -367,7 +371,7 @@ Parser::parse_stmt()
 }
 
 std::vector<ExprPtr>
-Parser::parse_expr_list(const std::string& close)
+Parser::parse_expr_list(std::string_view close)
 {
     std::vector<ExprPtr> out;
     out.push_back(parse_expr());
@@ -382,7 +386,7 @@ Parser::parse_expr_list(const std::string& close)
 namespace {
 
 int
-binop_prec(const std::string& s)
+binop_prec(std::string_view s)
 {
     if (s == "or") return 1;
     if (s == "and") return 2;
@@ -396,7 +400,7 @@ binop_prec(const std::string& s)
 }
 
 BinOpKind
-binop_kind(const std::string& s)
+binop_kind(std::string_view s)
 {
     if (s == "or") return BinOpKind::Or;
     if (s == "and") return BinOpKind::And;
@@ -411,7 +415,7 @@ binop_kind(const std::string& s)
     if (s == "*") return BinOpKind::Mul;
     if (s == "/") return BinOpKind::Div;
     if (s == "%") return BinOpKind::Mod;
-    throw InternalError("not a binop: " + s);
+    throw InternalError("not a binop: " + std::string(s));
 }
 
 }  // namespace
@@ -421,7 +425,7 @@ Parser::parse_expr(int min_prec)
 {
     ExprPtr lhs = parse_atom();
     for (;;) {
-        std::string op_text;
+        std::string_view op_text;
         if (peek().kind == TokKind::Symbol)
             op_text = peek().text;
         else if (at_name("and") || at_name("or"))
@@ -506,7 +510,7 @@ Parser::parse_atom()
 {
     const Token& t = peek();
     if (t.kind == TokKind::Number) {
-        Token tok = next();
+        const Token& tok = next();
         if (tok.is_float)
             return Expr::make_const(tok.number, ScalarType::F32);
         return idx_const(static_cast<int64_t>(tok.number));
