@@ -4,7 +4,9 @@
 #
 # Usage: scripts/bench_schedule.sh [label]
 #   label defaults to the abbreviated git HEAD. Extra benchmark flags can
-#   be passed via EXO2_BENCH_FLAGS (e.g. --benchmark_filter=Sgemm).
+#   be passed via EXO2_BENCH_FLAGS (e.g. --benchmark_filter=Sgemm). With
+#   --benchmark_repetitions=N each row records the median of the N runs
+#   as real_time_ms, plus their min_ms, max_ms and runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,19 +23,28 @@ EXO2_BENCH_OUT="$raw_out" "./$build_dir/bench_schedule_time" \
     --benchmark_min_time=1 ${EXO2_BENCH_FLAGS:-}
 
 python3 - "$label" "$raw_out" BENCH_schedule_time.json <<'EOF'
-import json, os, sys, datetime
+import json, os, statistics, sys, datetime
 
 label, raw_path, traj_path = sys.argv[1], sys.argv[2], sys.argv[3]
 raw = json.load(open(raw_path))
 
+runs = {}
+for b in raw["benchmarks"]:
+    if b.get("run_type", "iteration") == "iteration":
+        runs.setdefault(b.get("run_name", b["name"]), []).append(
+            b["real_time"])
+benchmarks = {}
+for name, times in runs.items():
+    row = {"real_time_ms": round(statistics.median(times), 4)}
+    if len(times) > 1:
+        row.update(min_ms=round(min(times), 4), max_ms=round(max(times), 4),
+                   runs=len(times))
+    benchmarks[name] = row
+
 entry = {
     "label": label,
     "date": datetime.date.today().isoformat(),
-    "benchmarks": {
-        b["name"]: {"real_time_ms": round(b["real_time"], 4)}
-        for b in raw["benchmarks"]
-        if b.get("run_type", "iteration") == "iteration"
-    },
+    "benchmarks": benchmarks,
 }
 
 try:
