@@ -84,7 +84,7 @@ Context::at(const ProcPtr& p, const Path& path)
             node = s->body().at(static_cast<size_t>(step.index));
         } else if (s->kind() == StmtKind::If &&
                    step.label == PathLabel::Orelse) {
-            ctx.sys_.add_pred_negated(s->cond());
+            ctx.assume_not(s->cond());
             node = s->orelse().at(static_cast<size_t>(step.index));
         } else {
             // Descend into bounds/cond/rhs expressions: binder of the

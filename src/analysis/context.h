@@ -7,10 +7,10 @@
  * scope at a location, packaged as a LinearSystem plus the ordered list
  * of enclosing loop binders. All primitive safety checks query these.
  *
- * A walk keeps one Context and takes it by reference: it enters a loop
- * or a guard through a `Context::Scope`, which pops the binder and the
- * hypotheses when the walk leaves the statement. Contexts, like
- * systems, are move-only.
+ * A walk keeps one Context and takes it by reference: it opens a
+ * `Context::Scope` before it enters a loop or assumes a guard, and the
+ * scope pops the binder and the hypotheses when the walk leaves the
+ * statement. Contexts, like systems, are move-only.
  */
 
 #include <string>
@@ -55,6 +55,9 @@ class Context
     /** Add a guard hypothesis. */
     void assume(const ExprPtr& pred) { sys_.add_pred(pred); }
 
+    /** Assume the negation of `pred` where expressible (else branch). */
+    void assume_not(const ExprPtr& pred) { sys_.add_pred_negated(pred); }
+
     // -- Proof helpers (conservative: false means "not provable") -------
 
     bool prove_pred(const ExprPtr& cond) const
@@ -92,10 +95,10 @@ class Context
 };
 
 /**
- * Scoped extension of a Context: loops entered and guards assumed
- * through it are removed from the binders and the system when it ends,
- * also on unwind. Scopes nest in block order, as LinearSystem::Scope
- * does.
+ * Guard over a Context: loops entered and guards assumed on the context
+ * after it is constructed are removed from the binders and the system
+ * when it ends, also on unwind. Scopes nest in block order, as
+ * LinearSystem::Scope does.
  */
 class Context::Scope
 {
@@ -107,15 +110,6 @@ class Context::Scope
     ~Scope() { ctx_.binders_.resize(binders_); }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
-
-    void enter_loop(const std::string& name, const ExprPtr& lo,
-                    const ExprPtr& hi)
-    {
-        ctx_.enter_loop(name, lo, hi);
-    }
-    void assume(const ExprPtr& pred) { sys_.add_pred(pred); }
-    /** Assume the negation of `pred` where expressible. */
-    void assume_not(const ExprPtr& pred) { sys_.add_pred_negated(pred); }
 
   private:
     Context& ctx_;

@@ -264,7 +264,7 @@ class BoundsWalker
             expr(ctx, path, s->lo());
             expr(ctx, path, s->hi());
             Context::Scope in(ctx);
-            in.enter_loop(s->iter(), s->lo(), s->hi());
+            ctx.enter_loop(s->iter(), s->lo(), s->hi());
             Path bpath = path;
             block(ctx, s->body(), PathLabel::Body, bpath);
             return;
@@ -273,7 +273,7 @@ class BoundsWalker
             expr(ctx, path, s->cond());
             {
                 Context::Scope in(ctx);
-                in.assume(s->cond());
+                ctx.assume(s->cond());
                 Path bpath = path;
                 block(ctx, s->body(), PathLabel::Body, bpath);
             }
@@ -281,7 +281,7 @@ class BoundsWalker
                 Context::Scope in(ctx);
                 ExprPtr nc = negate_pred(s->cond());
                 if (nc)
-                    in.assume(nc);
+                    ctx.assume(nc);
                 Path bpath = path;
                 block(ctx, s->orelse(), PathLabel::Orelse, bpath);
             }

@@ -683,7 +683,7 @@ visit_stmt_accesses(
         if (s->iter() == name)
             return;  // iterator shadows the buffer in the body
         Context::Scope in(ctx);
-        in.enter_loop(s->iter(), s->lo(), s->hi());
+        ctx.enter_loop(s->iter(), s->lo(), s->hi());
         for (const auto& c : s->body()) {
             visit_stmt_accesses(ctx, c, name, visit);
             if (shadows_name(c, name))
@@ -695,7 +695,7 @@ visit_stmt_accesses(
         visit_expr_accesses(ctx, s->cond(), name, visit);
         {
             Context::Scope in(ctx);
-            in.assume(s->cond());
+            ctx.assume(s->cond());
             for (const auto& c : s->body()) {
                 visit_stmt_accesses(ctx, c, name, visit);
                 if (shadows_name(c, name))
@@ -703,7 +703,7 @@ visit_stmt_accesses(
             }
         }
         Context::Scope in(ctx);
-        in.assume_not(s->cond());
+        ctx.assume_not(s->cond());
         for (const auto& c : s->orelse()) {
             visit_stmt_accesses(ctx, c, name, visit);
             if (shadows_name(c, name))

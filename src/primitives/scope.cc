@@ -227,7 +227,7 @@ fuse(const ProcPtr& p, const Cursor& scope1, const Cursor& scope2)
                 if (w.size() != r.size())
                     return false;
                 Context::Scope in(ctx);
-                in.enter_loop(s1->iter(), s1->lo(), s1->hi());
+                ctx.enter_loop(s1->iter(), s1->lo(), s1->hi());
                 for (size_t d = 0; d < w.size(); d++) {
                     if (!ctx.prove_le(w[d].lo, r[d].lo) ||
                         !ctx.prove_le(r[d].hi, w[d].hi)) {

@@ -234,7 +234,7 @@ simplify_stmt(Context& ctx, const StmtPtr& s)
         std::vector<StmtPtr> body;
         {
             Context::Scope in(ctx);
-            in.enter_loop(s->iter(), lo, hi);
+            ctx.enter_loop(s->iter(), lo, hi);
             body = simplify_block(ctx, s->body());
         }
         if (lo == s->lo() && hi == s->hi() && body == s->body())
@@ -248,12 +248,12 @@ simplify_stmt(Context& ctx, const StmtPtr& s)
         std::vector<StmtPtr> orelse;
         {
             Context::Scope in(ctx);
-            in.assume(cond);
+            ctx.assume(cond);
             body = simplify_block(ctx, s->body());
         }
         {
             Context::Scope in(ctx);
-            in.assume_not(cond);
+            ctx.assume_not(cond);
             orelse = simplify_block(ctx, s->orelse());
         }
         if (cond == s->cond() && body == s->body() &&
@@ -321,7 +321,7 @@ find_dead(const ProcPtr& p, const std::vector<StmtPtr>& b, Path prefix,
                 return true;
             }
             Context::Scope in(ctx);
-            in.enter_loop(s->iter(), s->lo(), s->hi());
+            ctx.enter_loop(s->iter(), s->lo(), s->hi());
             if (find_dead(p, s->body(), here, PathLabel::Body, ctx, out,
                           mode)) {
                 return true;
@@ -340,14 +340,14 @@ find_dead(const ProcPtr& p, const std::vector<StmtPtr>& b, Path prefix,
             }
             {
                 Context::Scope in(ctx);
-                in.assume(s->cond());
+                ctx.assume(s->cond());
                 if (find_dead(p, s->body(), here, PathLabel::Body, ctx,
                               out, mode)) {
                     return true;
                 }
             }
             Context::Scope in(ctx);
-            in.assume_not(s->cond());
+            ctx.assume_not(s->cond());
             if (find_dead(p, s->orelse(), here, PathLabel::Orelse, ctx,
                           out, mode)) {
                 return true;
