@@ -1,38 +1,64 @@
 #!/usr/bin/env bash
-# Build Release, run the scheduling-time benchmarks, and append an entry
-# to the BENCH_schedule_time.json trajectory at the repo root.
+# Run the scheduling-time benchmarks and append an entry to the
+# BENCH_schedule_time.json trajectory at the repo root (a label already
+# there is replaced).
 #
-# Usage: scripts/bench_schedule.sh [label]
-#   label defaults to the abbreviated git HEAD. Extra benchmark flags can
-#   be passed via EXO2_BENCH_FLAGS (e.g. --benchmark_filter=Sgemm). With
-#   --benchmark_repetitions=N each row records the median of the N runs
-#   as real_time_ms, plus their min_ms, max_ms and runs.
+# Usage: scripts/bench_schedule.sh [label] [bench_schedule_time binary]
+#   label defaults to the abbreviated git HEAD. Without a binary, a
+#   Release build in build-bench/ is configured and built; to record a
+#   before/after pair on one machine, build bench_schedule_time in a
+#   checkout of the older revision and pass that binary with its own
+#   label. Extra benchmark flags can be passed via EXO2_BENCH_FLAGS
+#   (e.g. --benchmark_filter=Sgemm). With --benchmark_repetitions=N each
+#   row records the median of the N runs as real_time_ms, plus their
+#   min_ms, max_ms and runs.
+#
+#   Each benchmark runs alone in its own process, as the perf_smoke gate
+#   (scripts/check_perf_smoke.sh) runs BM_LongSchedule/800: the intern
+#   table and the analysis memo caches live for the whole process, so a
+#   row run after others would time a different state than the gate
+#   compares against it.
 set -euo pipefail
+binary="${2:+$(realpath "$2")}"
 cd "$(dirname "$0")/.."
 
 label="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabeled)}"
-build_dir=build-bench
-raw_out=$(mktemp /tmp/exo2_bench_raw.XXXXXX.json)
-trap 'rm -f "$raw_out"' EXIT
+if [[ -z "$binary" ]]; then
+    build_dir=build-bench
+    cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release \
+        -DEXO2_BUILD_TESTS=OFF -DEXO2_BUILD_EXAMPLES=OFF
+    cmake --build "$build_dir" -j"$(nproc)" --target bench_schedule_time
+    binary="./$build_dir/bench_schedule_time"
+fi
+raw_dir=$(mktemp -d /tmp/exo2_bench_raw.XXXXXX)
+trap 'rm -rf "$raw_dir"' EXIT
 
-cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release \
-    -DEXO2_BUILD_TESTS=OFF -DEXO2_BUILD_EXAMPLES=OFF
-cmake --build "$build_dir" -j"$(nproc)" --target bench_schedule_time
+# The filter in EXO2_BENCH_FLAGS selects the rows; the per-row filter
+# comes last so that it wins.
+mapfile -t names < <(EXO2_BENCH_OUT="$raw_dir/list.json" "$binary" \
+    ${EXO2_BENCH_FLAGS:-} --benchmark_list_tests=true)
+if [[ ${#names[@]} -eq 0 ]]; then
+    echo "bench_schedule.sh: no benchmark matches EXO2_BENCH_FLAGS" >&2
+    exit 1
+fi
+raws=()
+for i in "${!names[@]}"; do
+    raws+=("$raw_dir/$i.json")
+    EXO2_BENCH_OUT="$raw_dir/$i.json" "$binary" --benchmark_min_time=1 \
+        ${EXO2_BENCH_FLAGS:-} --benchmark_filter="^${names[$i]}\$"
+done
 
-EXO2_BENCH_OUT="$raw_out" "./$build_dir/bench_schedule_time" \
-    --benchmark_min_time=1 ${EXO2_BENCH_FLAGS:-}
-
-python3 - "$label" "$raw_out" BENCH_schedule_time.json <<'EOF'
+python3 - "$label" BENCH_schedule_time.json "${raws[@]}" <<'EOF'
 import json, os, statistics, sys, datetime
 
-label, raw_path, traj_path = sys.argv[1], sys.argv[2], sys.argv[3]
-raw = json.load(open(raw_path))
+label, traj_path, raw_paths = sys.argv[1], sys.argv[2], sys.argv[3:]
 
 runs = {}
-for b in raw["benchmarks"]:
-    if b.get("run_type", "iteration") == "iteration":
-        runs.setdefault(b.get("run_name", b["name"]), []).append(
-            b["real_time"])
+for raw_path in raw_paths:
+    for b in json.load(open(raw_path))["benchmarks"]:
+        if b.get("run_type", "iteration") == "iteration":
+            runs.setdefault(b.get("run_name", b["name"]), []).append(
+                b["real_time"])
 benchmarks = {}
 for name, times in runs.items():
     row = {"real_time_ms": round(statistics.median(times), 4)}
