@@ -34,11 +34,24 @@
 using namespace exo2;
 using namespace exo2::sched;
 
+/** Clear the analysis memo and the cursor caches, untimed, so every
+ *  iteration of a BM_Schedule* row schedules from cold caches as one
+ *  sched_lib op does, instead of timing memo hits after the first. */
+static void
+cold_caches(benchmark::State& state)
+{
+    state.PauseTiming();
+    clear_analysis_memo();
+    clear_cursor_accel_caches();
+    state.ResumeTiming();
+}
+
 static void
 BM_ScheduleAxpyLevel1(benchmark::State& state)
 {
     const auto& k = kernels::find_kernel("saxpy");
     for (auto _ : state) {
+        cold_caches(state);
         benchmark::DoNotOptimize(optimize_level_1(
             k.proc, k.proc->find_loop("i"), k.prec, machine_avx2(), 4));
     }
@@ -51,6 +64,7 @@ BM_ScheduleSgemm(benchmark::State& state)
     ProcPtr base =
         sgemm_with_asserts(kernels::sgemm(), machine_avx512());
     for (auto _ : state) {
+        cold_caches(state);
         benchmark::DoNotOptimize(schedule_sgemm(base, machine_avx512()));
     }
 }
@@ -60,6 +74,7 @@ static void
 BM_ScheduleBlur(benchmark::State& state)
 {
     for (auto _ : state) {
+        cold_caches(state);
         benchmark::DoNotOptimize(
             schedule_blur_like_halide(kernels::blur(), machine_avx512()));
     }

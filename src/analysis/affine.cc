@@ -70,16 +70,7 @@ canonical_atom(const ExprPtr& e)
     if (e->kind() == ExprKind::Read && e->idx().empty()) {
         return e->type() == ScalarType::Index ? e : var(e->name());
     }
-    auto kids = e->children();
-    bool changed = false;
-    for (auto& k : kids) {
-        ExprPtr nk = canonical_atom(k);
-        if (nk != k) {
-            changed = true;
-            k = std::move(nk);
-        }
-    }
-    return changed ? e->with_children(std::move(kids)) : e;
+    return map_children(e, canonical_atom);
 }
 
 /** Add `coeff * atom` for an atom already in canonical form. */

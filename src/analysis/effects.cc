@@ -138,8 +138,10 @@ struct Collector
           case ExprKind::Stride:
             return;
           default:
-            for (const auto& k : e->children())
+            any_child(e, [&](const ExprPtr& k) {
                 expr(k, env);
+                return false;
+            });
             return;
         }
     }

@@ -330,12 +330,15 @@ LinearSystem::add_pred_negated(const ExprPtr& cond)
       case BinOpKind::Ge:
         flipped = Expr::make_binop(BinOpKind::Lt, cond->lhs(), cond->rhs());
         break;
+      case BinOpKind::Ne:
+        flipped = Expr::make_binop(BinOpKind::Eq, cond->lhs(), cond->rhs());
+        break;
       case BinOpKind::Or:
         add_pred_negated(cond->lhs());
         add_pred_negated(cond->rhs());
         return;
       default:
-        return;  // !(==) etc.: disjunctive
+        return;  // !(==), !(and): disjunctive
     }
     add_pred(flipped);
 }

@@ -50,7 +50,13 @@ class LinearSystem
      */
     void add_pred(const ExprPtr& cond);
 
-    /** Add the negation of a predicate where expressible. */
+    /**
+     * Add the negation of a predicate where expressible: a flipped
+     * comparison, `a == b` for `a != b`, and both negated sides of a
+     * disjunction. It assumes at least what
+     * `add_pred(negate_pred(cond))` does, so every else branch gets its
+     * facts through here.
+     */
     void add_pred_negated(const ExprPtr& cond);
 
     /**

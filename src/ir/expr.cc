@@ -356,62 +356,6 @@ Expr::with_children(std::vector<ExprPtr> children) const
     throw InternalError("unknown expr kind");
 }
 
-bool
-expr_equal(const ExprPtr& a, const ExprPtr& b)
-{
-    // Hash-consing makes structural equality pointer identity; the deep
-    // walk below survives only as a safety net for hash collisions.
-    if (a == b)
-        return true;
-    if (!a || !b)
-        return false;
-    if (a->structural_hash() != b->structural_hash())
-        return false;
-    if (a->kind() != b->kind() || a->type() != b->type())
-        return false;
-    switch (a->kind()) {
-      case ExprKind::Const:
-        return a->const_value() == b->const_value();
-      case ExprKind::Read:
-      case ExprKind::Extern: {
-        if (a->name() != b->name() || a->idx().size() != b->idx().size())
-            return false;
-        for (size_t i = 0; i < a->idx().size(); i++) {
-            if (!expr_equal(a->idx()[i], b->idx()[i]))
-                return false;
-        }
-        return true;
-      }
-      case ExprKind::BinOp:
-        return a->op() == b->op() && expr_equal(a->lhs(), b->lhs()) &&
-               expr_equal(a->rhs(), b->rhs());
-      case ExprKind::USub:
-        return expr_equal(a->lhs(), b->lhs());
-      case ExprKind::Window: {
-        if (a->name() != b->name() ||
-            a->window_dims().size() != b->window_dims().size()) {
-            return false;
-        }
-        for (size_t i = 0; i < a->window_dims().size(); i++) {
-            const auto& da = a->window_dims()[i];
-            const auto& db = b->window_dims()[i];
-            if (da.is_point() != db.is_point())
-                return false;
-            if (!expr_equal(da.lo, db.lo))
-                return false;
-            if (da.hi && !expr_equal(da.hi, db.hi))
-                return false;
-        }
-        return true;
-      }
-      case ExprKind::Stride:
-        return a->name() == b->name() && a->stride_dim() == b->stride_dim();
-      case ExprKind::ReadConfig:
-        return a->name() == b->name() && a->field() == b->field();
-    }
-    throw InternalError("unknown expr kind");
-}
-
 ExprPtr
 expr_subst(const ExprPtr& e, const std::string& name, const ExprPtr& repl)
 {
@@ -421,18 +365,8 @@ expr_subst(const ExprPtr& e, const std::string& name, const ExprPtr& repl)
         e->idx().empty()) {
         return repl;
     }
-    auto kids = e->children();
-    bool changed = false;
-    for (auto& k : kids) {
-        auto nk = expr_subst(k, name, repl);
-        if (nk != k) {
-            changed = true;
-            k = nk;
-        }
-    }
-    if (!changed)
-        return e;
-    return e->with_children(std::move(kids));
+    return map_children(
+        e, [&](const ExprPtr& k) { return expr_subst(k, name, repl); });
 }
 
 void
@@ -445,8 +379,10 @@ expr_collect_reads(const ExprPtr& e, std::vector<std::string>* out)
         if (std::find(out->begin(), out->end(), e->name()) == out->end())
             out->push_back(e->name());
     }
-    for (const auto& k : e->children())
+    any_child(e, [&](const ExprPtr& k) {
         expr_collect_reads(k, out);
+        return false;
+    });
 }
 
 bool
@@ -459,11 +395,8 @@ expr_uses(const ExprPtr& e, const std::string& name)
         e->name() == name) {
         return true;
     }
-    for (const auto& k : e->children()) {
-        if (expr_uses(k, name))
-            return true;
-    }
-    return false;
+    return any_child(e,
+                     [&](const ExprPtr& k) { return expr_uses(k, name); });
 }
 
 }  // namespace exo2

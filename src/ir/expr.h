@@ -153,8 +153,104 @@ class Expr
     int stride_dim_ = 0;
 };
 
-/** Deep structural equality (names compared literally). */
-bool expr_equal(const ExprPtr& a, const ExprPtr& b);
+/**
+ * Whether `pred` holds for a child of `e`. Children are visited in path
+ * order (lhs before rhs, indices and window bounds left to right), and
+ * the visit stops at the first child that satisfies `pred`; a visit
+ * that must see every child returns false.
+ */
+template <class Pred>
+bool
+any_child(const ExprPtr& e, Pred&& pred)
+{
+    switch (e->kind()) {
+      case ExprKind::Read:
+      case ExprKind::Extern:
+        for (const ExprPtr& k : e->idx()) {
+            if (pred(k))
+                return true;
+        }
+        return false;
+      case ExprKind::BinOp:
+        return pred(e->lhs()) || pred(e->rhs());
+      case ExprKind::USub:
+        return pred(e->lhs());
+      case ExprKind::Window:
+        for (const WindowDim& d : e->window_dims()) {
+            if (pred(d.lo) || (d.hi && pred(d.hi)))
+                return true;
+        }
+        return false;
+      case ExprKind::Const:
+      case ExprKind::Stride:
+      case ExprKind::ReadConfig:
+        return false;
+    }
+    return false;
+}
+
+/**
+ * `e` with every child `k` replaced by `f(k)`. Children are mapped in
+ * path order before the parent is rebuilt, so new nodes are interned
+ * in the order a bottom-up rebuild makes them; `e` itself is returned
+ * when no child changed.
+ */
+template <class F>
+ExprPtr
+map_children(const ExprPtr& e, F&& f)
+{
+    switch (e->kind()) {
+      case ExprKind::Read:
+      case ExprKind::Extern: {
+        const std::vector<ExprPtr>& in = e->idx();
+        std::vector<ExprPtr> out;  // filled from the first change on
+        for (size_t i = 0; i < in.size(); i++) {
+            ExprPtr k = f(in[i]);
+            if (out.empty()) {
+                if (k == in[i])
+                    continue;
+                out.reserve(in.size());
+                out.assign(in.begin(), in.begin() + static_cast<long>(i));
+            }
+            out.push_back(std::move(k));
+        }
+        if (out.empty())
+            return e;
+        if (e->kind() == ExprKind::Read)
+            return Expr::make_read(e->name(), std::move(out), e->type());
+        return Expr::make_extern(e->name(), std::move(out), e->type());
+      }
+      case ExprKind::BinOp: {
+        ExprPtr l = f(e->lhs());
+        ExprPtr r = f(e->rhs());
+        if (l == e->lhs() && r == e->rhs())
+            return e;
+        return Expr::make_binop(e->op(), std::move(l), std::move(r));
+      }
+      case ExprKind::USub: {
+        ExprPtr l = f(e->lhs());
+        return l == e->lhs() ? e : Expr::make_usub(std::move(l));
+      }
+      case ExprKind::Window: {
+        std::vector<WindowDim> dims = e->window_dims();
+        bool changed = false;
+        for (WindowDim& d : dims) {
+            ExprPtr lo = f(d.lo);
+            ExprPtr hi = d.hi ? f(d.hi) : nullptr;
+            changed = changed || lo != d.lo || hi != d.hi;
+            d = WindowDim{std::move(lo), std::move(hi)};
+        }
+        if (!changed)
+            return e;
+        return Expr::make_window(e->name(), std::move(dims), e->type());
+      }
+      case ExprKind::Const:
+      case ExprKind::Stride:
+      case ExprKind::ReadConfig:
+        return e;
+    }
+    return e;
+}
 
 /** Substitute reads of scalar variable `name` with `repl` throughout. */
 ExprPtr expr_subst(const ExprPtr& e, const std::string& name,

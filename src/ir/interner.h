@@ -10,10 +10,12 @@
  * hash and return the existing node when a structurally identical one
  * was built before. Two consequences the rest of the system leans on:
  *
- *  1. Structural equality of expressions is pointer equality
- *     (`expr_equal(a, b)` iff `a == b` for interned nodes), which makes
- *     equality, substitution no-op detection, and pattern matching
- *     cheap along the spine-rebuilding edits of `cursor/edits.cc`.
+ *  1. Structural equality of expressions is pointer equality: the
+ *     table compares colliding candidates field by field, so two
+ *     distinct nodes are never structurally equal and `a == b` decides
+ *     equality. That makes substitution no-op detection and pattern
+ *     matching cheap along the spine-rebuilding edits of
+ *     `cursor/edits.cc`.
  *  2. Interned nodes are retained for the lifetime of the process, so
  *     a raw `const Expr*` (or its dense `intern_id()`) is a stable key
  *     for the analysis memo caches — no ABA hazard, no pinning needed.

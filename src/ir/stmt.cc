@@ -270,60 +270,36 @@ stmt_equal(const StmtPtr& a, const StmtPtr& b)
         a->kind() != b->kind()) {
         return false;
     }
+    // Interned expressions are equal iff they are the same node, so the
+    // expression fields (and lists of them) compare by pointer.
     switch (a->kind()) {
       case StmtKind::Assign:
-      case StmtKind::Reduce: {
-        if (a->name() != b->name() || a->type() != b->type() ||
-            a->idx().size() != b->idx().size()) {
-            return false;
-        }
-        for (size_t i = 0; i < a->idx().size(); i++) {
-            if (!expr_equal(a->idx()[i], b->idx()[i]))
-                return false;
-        }
-        return expr_equal(a->rhs(), b->rhs());
-      }
-      case StmtKind::Alloc: {
-        if (a->name() != b->name() || a->type() != b->type() ||
-            a->mem() != b->mem() || a->dims().size() != b->dims().size()) {
-            return false;
-        }
-        for (size_t i = 0; i < a->dims().size(); i++) {
-            if (!expr_equal(a->dims()[i], b->dims()[i]))
-                return false;
-        }
-        return true;
-      }
+      case StmtKind::Reduce:
+        return a->name() == b->name() && a->type() == b->type() &&
+               a->idx() == b->idx() && a->rhs() == b->rhs();
+      case StmtKind::Alloc:
+        return a->name() == b->name() && a->type() == b->type() &&
+               a->mem() == b->mem() && a->dims() == b->dims();
       case StmtKind::For:
         return a->iter() == b->iter() &&
-               a->loop_mode() == b->loop_mode() &&
-               expr_equal(a->lo(), b->lo()) &&
-               expr_equal(a->hi(), b->hi()) &&
-               block_equal(a->body(), b->body());
+               a->loop_mode() == b->loop_mode() && a->lo() == b->lo() &&
+               a->hi() == b->hi() && block_equal(a->body(), b->body());
       case StmtKind::If:
-        return expr_equal(a->cond(), b->cond()) &&
-               block_equal(a->body(), b->body()) &&
+        return a->cond() == b->cond() && block_equal(a->body(), b->body()) &&
                block_equal(a->orelse(), b->orelse());
       case StmtKind::Pass:
         return true;
-      case StmtKind::Call: {
-        if (a->callee() != b->callee() || a->args().size() != b->args().size())
-            return false;
+      case StmtKind::Call:
         // Pattern-only calls (null callee) are named by the stmt itself;
         // compare the name so equality agrees with the structural hash.
-        if (!a->callee() && a->name() != b->name())
-            return false;
-        for (size_t i = 0; i < a->args().size(); i++) {
-            if (!expr_equal(a->args()[i], b->args()[i]))
-                return false;
-        }
-        return true;
-      }
+        return a->callee() == b->callee() &&
+               (a->callee() || a->name() == b->name()) &&
+               a->args() == b->args();
       case StmtKind::WriteConfig:
         return a->name() == b->name() && a->field() == b->field() &&
-               expr_equal(a->rhs(), b->rhs());
+               a->rhs() == b->rhs();
       case StmtKind::WindowDecl:
-        return a->name() == b->name() && expr_equal(a->rhs(), b->rhs());
+        return a->name() == b->name() && a->rhs() == b->rhs();
     }
     throw InternalError("unknown stmt kind");
 }
@@ -346,143 +322,127 @@ block_hash(const std::vector<StmtPtr>& b)
     return hash_stmt_list(0xB10Cull, b);
 }
 
+bool
+declares(const StmtPtr& s, const std::string& name)
+{
+    return (s->kind() == StmtKind::Alloc ||
+            s->kind() == StmtKind::WindowDecl) &&
+           s->name() == name;
+}
+
+// The scope rule (stmt.h). These four functions are the only place that
+// decides which statements a binding reaches.
+
+StmtPtr
+map_in_scope(const StmtPtr& s, const std::string& name, const StmtMapFn& f)
+{
+    StmtPtr out = f(s);
+    if (s->kind() == StmtKind::For && s->iter() == name)
+        return out;  // the iterator rebinds `name` in the body
+    if (s->body().empty() && s->orelse().empty())
+        return out;
+    std::vector<StmtPtr> body = map_block_in_scope(s->body(), name, f);
+    std::vector<StmtPtr> orelse = map_block_in_scope(s->orelse(), name, f);
+    if (body != s->body())
+        out = out->with_body(std::move(body));
+    if (orelse != s->orelse())
+        out = out->with_orelse(std::move(orelse));
+    return out;
+}
+
+std::vector<StmtPtr>
+map_block_in_scope(const std::vector<StmtPtr>& b, const std::string& name,
+                   const StmtMapFn& f)
+{
+    std::vector<StmtPtr> out;
+    out.reserve(b.size());
+    size_t i = 0;
+    while (i < b.size()) {
+        const StmtPtr& s = b[i++];
+        out.push_back(map_in_scope(s, name, f));
+        if (declares(s, name))
+            break;  // the rest of the list sees the re-declaration
+    }
+    out.insert(out.end(), b.begin() + static_cast<long>(i), b.end());
+    return out;
+}
+
+bool
+any_in_scope(const StmtPtr& s, const std::string& name,
+             const StmtPredFn& pred, const ScopeDescendFn& descend)
+{
+    if (pred(s))
+        return true;
+    if (s->kind() != StmtKind::For && s->kind() != StmtKind::If)
+        return false;
+    if (s->kind() == StmtKind::For && s->iter() == name)
+        return false;  // the iterator rebinds `name` in the body
+    auto enter = [&](PathLabel label, const std::vector<StmtPtr>& b) {
+        if (!descend)
+            return any_block_in_scope(b, name, pred, descend);
+        return descend(s, label, [&] {
+            return any_block_in_scope(b, name, pred, descend);
+        });
+    };
+    if (enter(PathLabel::Body, s->body()))
+        return true;
+    return s->kind() == StmtKind::If && enter(PathLabel::Orelse, s->orelse());
+}
+
+bool
+any_block_in_scope(const std::vector<StmtPtr>& b, const std::string& name,
+                   const StmtPredFn& pred, const ScopeDescendFn& descend)
+{
+    for (const StmtPtr& s : b) {
+        if (any_in_scope(s, name, pred, descend))
+            return true;
+        if (declares(s, name))
+            return false;  // the rest of the list sees the re-declaration
+    }
+    return false;
+}
+
 StmtPtr
 stmt_subst(const StmtPtr& s, const std::string& name, const ExprPtr& repl)
 {
-    // Each case returns `s` itself when nothing changed: interning
-    // makes unchanged children pointer-identical, so plain vector ==
-    // (elementwise shared_ptr compare) detects the no-op exactly,
-    // preserving subtree identity and with it cached analysis results.
-    if (!s)
-        return s;
-    // A binder with the same name shadows `name` below it.
-    if (s->kind() == StmtKind::For && s->iter() == name) {
-        ExprPtr lo = expr_subst(s->lo(), name, repl);
-        ExprPtr hi = expr_subst(s->hi(), name, repl);
-        if (lo == s->lo() && hi == s->hi())
-            return s;
-        return s->with_bounds(std::move(lo), std::move(hi));
-    }
-    switch (s->kind()) {
-      case StmtKind::Assign:
-      case StmtKind::Reduce: {
-        std::vector<ExprPtr> idx;
-        idx.reserve(s->idx().size());
-        for (const auto& e : s->idx())
-            idx.push_back(expr_subst(e, name, repl));
-        ExprPtr rhs = expr_subst(s->rhs(), name, repl);
-        if (rhs == s->rhs() && idx == s->idx())
-            return s;
-        return s->with_idx(std::move(idx))->with_rhs(std::move(rhs));
-      }
-      case StmtKind::Alloc: {
-        std::vector<ExprPtr> dims;
-        dims.reserve(s->dims().size());
-        for (const auto& e : s->dims())
-            dims.push_back(expr_subst(e, name, repl));
-        if (dims == s->dims())
-            return s;
-        return s->with_dims(std::move(dims));
-      }
-      case StmtKind::For: {
-        ExprPtr lo = expr_subst(s->lo(), name, repl);
-        ExprPtr hi = expr_subst(s->hi(), name, repl);
-        std::vector<StmtPtr> body = block_subst(s->body(), name, repl);
-        if (lo == s->lo() && hi == s->hi() && body == s->body())
-            return s;
-        return s->with_bounds(std::move(lo), std::move(hi))
-                ->with_body(std::move(body));
-      }
-      case StmtKind::If: {
-        ExprPtr cond = expr_subst(s->cond(), name, repl);
-        std::vector<StmtPtr> body = block_subst(s->body(), name, repl);
-        std::vector<StmtPtr> orelse = block_subst(s->orelse(), name, repl);
-        if (cond == s->cond() && body == s->body() &&
-            orelse == s->orelse()) {
-            return s;
-        }
-        return s->with_cond(std::move(cond))
-                ->with_body(std::move(body))
-                ->with_orelse(std::move(orelse));
-      }
-      case StmtKind::Pass:
-        return s;
-      case StmtKind::Call: {
-        std::vector<ExprPtr> args;
-        args.reserve(s->args().size());
-        for (const auto& e : s->args())
-            args.push_back(expr_subst(e, name, repl));
-        if (args == s->args())
-            return s;
-        return s->with_args(std::move(args));
-      }
-      case StmtKind::WriteConfig:
-      case StmtKind::WindowDecl: {
-        ExprPtr rhs = expr_subst(s->rhs(), name, repl);
-        if (rhs == s->rhs())
-            return s;
-        return s->with_rhs(std::move(rhs));
-      }
-    }
-    throw InternalError("unknown stmt kind");
+    return map_in_scope(s, name, [&](const StmtPtr& st) {
+        return map_exprs(st, [&](const ExprPtr& e) {
+            return expr_subst(e, name, repl);
+        });
+    });
 }
 
 std::vector<StmtPtr>
 block_subst(const std::vector<StmtPtr>& b, const std::string& name,
             const ExprPtr& repl)
 {
-    std::vector<StmtPtr> out;
-    out.reserve(b.size());
-    bool shadowed = false;
-    for (const auto& s : b) {
-        // An Alloc/WindowDecl of the same name shadows `name` for the
-        // rest of this list (a For binder is handled per-statement in
-        // stmt_subst).
-        out.push_back(shadowed ? s : stmt_subst(s, name, repl));
-        if ((s->kind() == StmtKind::Alloc ||
-             s->kind() == StmtKind::WindowDecl) &&
-            s->name() == name) {
-            shadowed = true;
-        }
-    }
-    return out;
+    return map_block_in_scope(b, name, [&](const StmtPtr& st) {
+        return map_exprs(st, [&](const ExprPtr& e) {
+            return expr_subst(e, name, repl);
+        });
+    });
+}
+
+bool
+stmt_uses_here(const StmtPtr& s, const std::string& name)
+{
+    return (s->is_write() && s->name() == name) ||
+           any_expr(s, [&](const ExprPtr& e) { return expr_uses(e, name); });
 }
 
 bool
 stmt_uses(const StmtPtr& s, const std::string& name)
 {
-    if (!s)
+    if (stmt_uses_here(s, name) || declares(s, name))
+        return true;
+    auto under = [&](const std::vector<StmtPtr>& b) {
+        for (const StmtPtr& c : b) {
+            if (stmt_uses(c, name))
+                return true;
+        }
         return false;
-    if (s->name() == name &&
-        (s->kind() == StmtKind::Assign || s->kind() == StmtKind::Reduce ||
-         s->kind() == StmtKind::Alloc || s->kind() == StmtKind::WindowDecl)) {
-        return true;
-    }
-    for (const auto& e : s->idx()) {
-        if (expr_uses(e, name))
-            return true;
-    }
-    for (const auto& e : s->dims()) {
-        if (expr_uses(e, name))
-            return true;
-    }
-    for (const auto& e : s->args()) {
-        if (expr_uses(e, name))
-            return true;
-    }
-    if (expr_uses(s->rhs(), name) || expr_uses(s->cond(), name) ||
-        expr_uses(s->lo(), name) || expr_uses(s->hi(), name)) {
-        return true;
-    }
-    for (const auto& c : s->body()) {
-        if (stmt_uses(c, name))
-            return true;
-    }
-    for (const auto& c : s->orelse()) {
-        if (stmt_uses(c, name))
-            return true;
-    }
-    return false;
+    };
+    return under(s->body()) || under(s->orelse());
 }
 
 }  // namespace exo2

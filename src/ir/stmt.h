@@ -7,12 +7,14 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/ir/expr.h"
 #include "src/ir/memory.h"
+#include "src/ir/path.h"
 
 namespace exo2 {
 
@@ -20,6 +22,9 @@ class Stmt;
 class Proc;
 using StmtPtr = std::shared_ptr<const Stmt>;
 using ProcPtr = std::shared_ptr<const Proc>;
+
+template <class F>
+StmtPtr map_exprs(const StmtPtr& s, F&& f);
 
 /** Statement node kinds. */
 enum class StmtKind : uint8_t {
@@ -176,6 +181,9 @@ class Stmt
     }
 
   private:
+    template <class F>
+    friend StmtPtr map_exprs(const StmtPtr& s, F&& f);
+
     Stmt() = default;
 
     /** Recompute hash_ from the current fields (factories, with_*). */
@@ -203,6 +211,145 @@ class Stmt
     std::vector<ExprPtr> args_;
 };
 
+/**
+ * Whether `pred` holds for one of the statement's own expressions, not
+ * those of its body: idx, rhs, dims, lo, hi, cond and args, in that
+ * (path) order, stopping at the first hit. A field a kind does not have
+ * is empty, so the walk needs no case per kind; a visit that must see
+ * every expression returns false.
+ */
+template <class Pred>
+bool
+any_expr(const StmtPtr& s, Pred&& pred)
+{
+    for (const ExprPtr& e : s->idx()) {
+        if (pred(e))
+            return true;
+    }
+    if (s->rhs() && pred(s->rhs()))
+        return true;
+    for (const ExprPtr& e : s->dims()) {
+        if (pred(e))
+            return true;
+    }
+    if ((s->lo() && pred(s->lo())) || (s->hi() && pred(s->hi())) ||
+        (s->cond() && pred(s->cond()))) {
+        return true;
+    }
+    for (const ExprPtr& e : s->args()) {
+        if (pred(e))
+            return true;
+    }
+    return false;
+}
+
+/**
+ * `s` with each of its own expressions `e` (as `any_expr` lists them)
+ * replaced by `f(e)`; the body is kept. Expressions are mapped in path
+ * order, and `s` itself is returned when none changed, so an unchanged
+ * statement keeps its identity (and its memo slots).
+ */
+template <class F>
+StmtPtr
+map_exprs(const StmtPtr& s, F&& f)
+{
+    std::shared_ptr<Stmt> out;  // a copy of `s`, made at the first change
+    auto one = [&](ExprPtr Stmt::*field) {
+        const ExprPtr& in = (*s).*field;
+        if (!in)
+            return;
+        ExprPtr e = f(in);
+        if (e == in)
+            return;
+        if (!out)
+            out.reset(new Stmt(*s));
+        (*out).*field = std::move(e);
+    };
+    auto list = [&](std::vector<ExprPtr> Stmt::*field) {
+        const std::vector<ExprPtr>& in = (*s).*field;
+        for (size_t i = 0; i < in.size(); i++) {
+            ExprPtr e = f(in[i]);
+            if (e == in[i])
+                continue;
+            if (!out)
+                out.reset(new Stmt(*s));
+            ((*out).*field)[i] = std::move(e);
+        }
+    };
+    list(&Stmt::idx_);
+    one(&Stmt::rhs_);
+    list(&Stmt::dims_);
+    one(&Stmt::lo_);
+    one(&Stmt::hi_);
+    one(&Stmt::cond_);
+    list(&Stmt::args_);
+    if (!out)
+        return s;
+    out->rehash();
+    return out;
+}
+
+/** Whether `s` is an Alloc or WindowDecl of `name`. */
+bool declares(const StmtPtr& s, const std::string& name);
+
+/**
+ * @name The scope rule
+ *
+ * A binding of `name` visible at a statement is seen by that statement
+ * and everything below it, except
+ *  - the body of a For whose iterator is `name`, and
+ *  - the statements of a list after one that re-declares `name`
+ *    (`declares`); the re-declaring statement's own dims or window
+ *    still see the outer binding.
+ *
+ * Every walk that rewrites or looks up the references one binding
+ * reaches goes through the helpers below, which apply a one-statement
+ * callback to exactly the statements in that scope, each before the
+ * statements below it. The callback handles the statement's own
+ * expressions and write target (`map_exprs` / `any_expr`), never its
+ * body: the helper decides which bodies it reaches.
+ * @{
+ */
+
+/** A rewrite of one statement's own parts. */
+using StmtMapFn = std::function<StmtPtr(const StmtPtr&)>;
+
+/** A test of one statement's own parts. */
+using StmtPredFn = std::function<bool(const StmtPtr&)>;
+
+/**
+ * Runs the walk of one body (`Body` or `Orelse`) of the For or If `s`
+ * and returns its result. A walk that carries facts in a Context opens
+ * a scope here, enters the loop or assumes the guard, then calls
+ * `walk`. Every If is entered on both sides, an empty else included.
+ */
+using ScopeDescendFn = std::function<bool(
+    const StmtPtr& s, PathLabel body, const std::function<bool()>& walk)>;
+
+/** `s` with `f` applied to every statement in the scope of a binding
+ *  of `name` visible at `s`; unchanged statements keep their identity. */
+StmtPtr map_in_scope(const StmtPtr& s, const std::string& name,
+                     const StmtMapFn& f);
+
+/** `map_in_scope` over a list that sees the binding from its start. */
+std::vector<StmtPtr> map_block_in_scope(const std::vector<StmtPtr>& b,
+                                        const std::string& name,
+                                        const StmtMapFn& f);
+
+/** Whether `pred` holds for a statement in the scope of a binding of
+ *  `name` visible at `s`, visited outer before inner and stopping at
+ *  the first hit. `descend`, if given, wraps each body's walk. */
+bool any_in_scope(const StmtPtr& s, const std::string& name,
+                  const StmtPredFn& pred,
+                  const ScopeDescendFn& descend = nullptr);
+
+/** `any_in_scope` over a list that sees the binding from its start. */
+bool any_block_in_scope(const std::vector<StmtPtr>& b,
+                        const std::string& name, const StmtPredFn& pred,
+                        const ScopeDescendFn& descend = nullptr);
+
+/** @} */
+
 /** Deep structural equality of statements (and their subtrees). */
 bool stmt_equal(const StmtPtr& a, const StmtPtr& b);
 
@@ -213,8 +360,9 @@ bool block_equal(const std::vector<StmtPtr>& a, const std::vector<StmtPtr>& b);
 uint64_t block_hash(const std::vector<StmtPtr>& b);
 
 /**
- * Substitute scalar variable `name` by expression `repl` in all
- * expressions of `s` (recursively). Does not rename binders.
+ * Substitute scalar variable `name` by expression `repl` in the
+ * expressions of the scope of `name` at `s` (`map_in_scope`). Does not
+ * rename binders.
  */
 StmtPtr stmt_subst(const StmtPtr& s, const std::string& name,
                    const ExprPtr& repl);
@@ -224,7 +372,12 @@ std::vector<StmtPtr> block_subst(const std::vector<StmtPtr>& b,
                                  const std::string& name,
                                  const ExprPtr& repl);
 
-/** True if any expression under `s` reads `name`, or `s` writes it. */
+/** True if one of the statement's own expressions reads `name`, or the
+ *  statement writes to it; its body is not looked at. */
+bool stmt_uses_here(const StmtPtr& s, const std::string& name);
+
+/** True if any expression under `s` reads `name`, or a statement under
+ *  `s` writes or declares it (no scope rule: any binding counts). */
 bool stmt_uses(const StmtPtr& s, const std::string& name);
 
 }  // namespace exo2

@@ -279,9 +279,7 @@ class BoundsWalker
             }
             if (!s->orelse().empty()) {
                 Context::Scope in(ctx);
-                ExprPtr nc = negate_pred(s->cond());
-                if (nc)
-                    ctx.assume(nc);
+                ctx.assume_not(s->cond());
                 Path bpath = path;
                 block(ctx, s->orelse(), PathLabel::Orelse, bpath);
             }

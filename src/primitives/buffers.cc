@@ -79,30 +79,18 @@ lift_alloc(const ProcPtr& p, const Cursor& alloc, int n_lifts)
             const auto& other = addr.label == PathLabel::Body
                                     ? parent->orelse()
                                     : parent->body();
-            for (const auto& st : other) {
-                require(!stmt_uses_unshadowed(st, s->name()),
-                        "lift_alloc: '" + s->name() +
-                            "' is used in the parent's other branch; "
-                            "lifting would capture it");
-                if ((st->kind() == StmtKind::Alloc ||
-                     st->kind() == StmtKind::WindowDecl) &&
-                    st->name() == s->name()) {
-                    break;  // shadowed from here on
-                }
-            }
+            require(!block_uses_unshadowed(other, s->name()),
+                    "lift_alloc: '" + s->name() +
+                        "' is used in the parent's other branch; "
+                        "lifting would capture it");
             const auto& plist = stmt_list_at(cur, paddr);
-            for (size_t i = static_cast<size_t>(ppos) + 1;
-                 i < plist.size(); i++) {
-                require(!stmt_uses_unshadowed(plist[i], s->name()),
-                        "lift_alloc: '" + s->name() +
-                            "' is used after the parent statement; "
-                            "lifting would capture it");
-                if ((plist[i]->kind() == StmtKind::Alloc ||
-                     plist[i]->kind() == StmtKind::WindowDecl) &&
-                    plist[i]->name() == s->name()) {
-                    break;
-                }
-            }
+            require(!block_uses_unshadowed(
+                        std::vector<StmtPtr>(plist.begin() + ppos + 1,
+                                             plist.end()),
+                        s->name()),
+                    "lift_alloc: '" + s->name() +
+                        "' is used after the parent statement; "
+                        "lifting would capture it");
         }
         ProcPtr next =
             apply_move(cur, addr, pos, pos + 1, paddr, ppos, "lift_alloc");
@@ -142,16 +130,9 @@ sink_alloc(const ProcPtr& p, const Cursor& alloc)
                 !(target->lo() && expr_uses(target->lo(), s->name())) &&
                 !(target->hi() && expr_uses(target->hi(), s->name())),
             "sink_alloc: target header reads '" + s->name() + "'");
-    for (const auto& st : target->orelse()) {
-        require(!stmt_uses_unshadowed(st, s->name()),
-                "sink_alloc: '" + s->name() +
-                    "' is used in the target's else branch");
-        if ((st->kind() == StmtKind::Alloc ||
-             st->kind() == StmtKind::WindowDecl) &&
-            st->name() == s->name()) {
-            break;  // re-declared: the rest of the branch is shadowed
-        }
-    }
+    require(!block_uses_unshadowed(target->orelse(), s->name()),
+            "sink_alloc: '" + s->name() +
+                "' is used in the target's else branch");
     // Destination: start of target body (post-deletion coords: target is
     // at `pos` after removing the alloc).
     Path tpath = addr.parent;
@@ -197,20 +178,9 @@ reuse_buffer(const ProcPtr& p, const Cursor& a_alloc, const Cursor& b_alloc)
     // `a` must be dead after b's allocation (we are about to clobber it).
     require(!used_after(list, bpos, sa->name()),
             "reuse_buffer: '" + sa->name() + "' is still live");
-    std::vector<StmtPtr> repl;
-    bool shadowed = false;
-    for (size_t i = static_cast<size_t>(bpos) + 1; i < list.size(); i++) {
-        if (shadowed) {
-            repl.push_back(list[i]);
-            continue;
-        }
-        repl.push_back(rename_buffer(list[i], sb->name(), sa->name()));
-        if ((list[i]->kind() == StmtKind::Alloc ||
-             list[i]->kind() == StmtKind::WindowDecl) &&
-            list[i]->name() == sb->name()) {
-            shadowed = true;  // re-declared: rest refers to the new binder
-        }
-    }
+    std::vector<StmtPtr> repl = rename_buffer_block(
+        std::vector<StmtPtr>(list.begin() + bpos + 1, list.end()),
+        sb->name(), sa->name());
     return apply_replace_range(p, baddr, bpos,
                                static_cast<int>(list.size()),
                                std::move(repl), "reuse_buffer");
@@ -232,32 +202,15 @@ rewrite_alloc_and_scope(const ProcPtr& p, const Cursor& ac,
     int pos = 0;
     ListAddr addr = list_addr_of(ac.loc().path, &pos);
     const auto& list = stmt_list_at(p, addr);
-    const std::string name = new_alloc->name();
-    std::vector<StmtPtr> repl;
-    repl.push_back(std::move(new_alloc));
-    bool shadowed = false;
-    for (size_t i = static_cast<size_t>(pos) + 1; i < list.size(); i++) {
-        if (shadowed) {
-            // A re-declaration (e.g. the duplicate Alloc an unroll
-            // copies into this list) shadows ours for the rest.
-            repl.push_back(list[i]);
-            continue;
-        }
-        repl.push_back(
-            rewrite_buffer_access(list[i], name, point_fn, window_fn));
-        if ((list[i]->kind() == StmtKind::Alloc ||
-             list[i]->kind() == StmtKind::WindowDecl) &&
-            list[i]->name() == name) {
-            shadowed = true;
-        }
-    }
+    std::vector<StmtPtr> nl(list.begin(), list.begin() + pos);
+    nl.push_back(new_alloc);
+    std::vector<StmtPtr> scope = rewrite_buffer_access_block(
+        std::vector<StmtPtr>(list.begin() + pos + 1, list.end()),
+        new_alloc->name(), point_fn, window_fn);
+    nl.insert(nl.end(), scope.begin(), scope.end());
     // Shape is preserved for all statements (indices rewritten in
     // place): keep cursors stable.
-    auto body = rebuild_list(p, addr, [&] {
-        std::vector<StmtPtr> nl(list.begin(), list.begin() + pos);
-        nl.insert(nl.end(), repl.begin(), repl.end());
-        return nl;
-    }());
+    auto body = rebuild_list(p, addr, std::move(nl));
     return p->with_body(std::move(body), fwd_identity(), action);
 }
 
@@ -499,92 +452,78 @@ mult_dim(const ProcPtr& p, const Cursor& alloc, int dim)
 
 namespace {
 
-/** Rewrite `name[k, rest...] -> name_k[rest...]` throughout an expr. */
+/** Which of the `n` split buffers the constant point `e` selects. */
+size_t
+split_index(const ExprPtr& e, size_t n, const std::string& why)
+{
+    Affine a = to_affine(e);
+    require(a.is_const() && a.constant >= 0 &&
+                a.constant < static_cast<int64_t>(n),
+            why);
+    return static_cast<size_t>(a.constant);
+}
+
+/**
+ * Rewrite `name[k, rest...] -> name_k[rest...]` throughout an expr, for
+ * reads and windows whose dimension 0 is a constant point; refuse every
+ * other reference to `name`, which no split buffer could stand for.
+ */
 ExprPtr
 split_buffer_expr(const ExprPtr& e, const std::string& name,
                   const std::vector<std::string>& names)
 {
-    if (!e)
-        return e;
-    if (e->kind() == ExprKind::Read && e->name() == name &&
-        !e->idx().empty()) {
-        Affine a0 = to_affine(e->idx()[0]);
-        require(a0.is_const() &&
-                    a0.constant >= 0 &&
-                    a0.constant < static_cast<int64_t>(names.size()),
-                "unroll_buffer: non-constant index in dimension 0");
+    auto rw = [&](const ExprPtr& k) {
+        return split_buffer_expr(k, name, names);
+    };
+    if (e->kind() == ExprKind::Read && e->name() == name) {
+        require(!e->idx().empty(),
+                "unroll_buffer: whole-buffer reference to '" + name + "'");
+        size_t k = split_index(
+            e->idx()[0], names.size(),
+            "unroll_buffer: non-constant index in dimension 0");
         std::vector<ExprPtr> rest;
-        for (size_t i = 1; i < e->idx().size(); i++) {
-            rest.push_back(split_buffer_expr(e->idx()[i], name, names));
-        }
-        return Expr::make_read(names[static_cast<size_t>(a0.constant)],
-                               std::move(rest), e->type());
+        for (size_t i = 1; i < e->idx().size(); i++)
+            rest.push_back(rw(e->idx()[i]));
+        return Expr::make_read(names[k], std::move(rest), e->type());
     }
-    auto kids = e->children();
-    bool changed = false;
-    for (auto& k : kids) {
-        auto nk = split_buffer_expr(k, name, names);
-        if (nk != k) {
-            changed = true;
-            k = nk;
+    if (e->kind() == ExprKind::Window && e->name() == name) {
+        const std::vector<WindowDim>& dims = e->window_dims();
+        require(dims[0].is_point(),
+                "unroll_buffer: window spans dimension 0 of '" + name + "'");
+        size_t k = split_index(
+            dims[0].lo, names.size(),
+            "unroll_buffer: non-constant window point in dimension 0");
+        std::vector<WindowDim> rest;
+        for (size_t i = 1; i < dims.size(); i++) {
+            rest.push_back(WindowDim{rw(dims[i].lo),
+                                     dims[i].hi ? rw(dims[i].hi) : nullptr});
         }
+        return Expr::make_window(names[k], std::move(rest), e->type());
     }
-    return changed ? e->with_children(std::move(kids)) : e;
+    require(!(e->kind() == ExprKind::Stride && e->name() == name),
+            "unroll_buffer: stride of '" + name + "'");
+    return map_children(e, rw);
 }
 
+/** The one-statement part of unroll_buffer's rewrite. */
 StmtPtr
-split_buffer_stmt(const StmtPtr& s, const std::string& name,
+split_buffer_here(const StmtPtr& s, const std::string& name,
                   const std::vector<std::string>& names)
 {
     auto rw = [&](const ExprPtr& e) {
         return split_buffer_expr(e, name, names);
     };
-    StmtPtr out = s;
-    switch (s->kind()) {
-      case StmtKind::Assign:
-      case StmtKind::Reduce: {
-        std::vector<ExprPtr> idx;
-        for (const auto& i : s->idx())
-            idx.push_back(rw(i));
-        if (s->name() == name) {
-            require(!idx.empty(), "unroll_buffer: scalar access");
-            Affine a0 = to_affine(idx[0]);
-            require(a0.is_const() && a0.constant >= 0 &&
-                        a0.constant < static_cast<int64_t>(names.size()),
-                    "unroll_buffer: non-constant write index");
-            std::vector<ExprPtr> rest(idx.begin() + 1, idx.end());
-            return out->with_name(names[static_cast<size_t>(a0.constant)])
-                ->with_idx(std::move(rest))
-                ->with_rhs(rw(s->rhs()));
-        }
-        return out->with_idx(std::move(idx))->with_rhs(rw(s->rhs()));
-      }
-      case StmtKind::For: {
-        std::vector<StmtPtr> body;
-        for (const auto& c : s->body())
-            body.push_back(split_buffer_stmt(c, name, names));
-        return out->with_bounds(rw(s->lo()), rw(s->hi()))
-            ->with_body(std::move(body));
-      }
-      case StmtKind::If: {
-        std::vector<StmtPtr> body;
-        for (const auto& c : s->body())
-            body.push_back(split_buffer_stmt(c, name, names));
-        std::vector<StmtPtr> orelse;
-        for (const auto& c : s->orelse())
-            orelse.push_back(split_buffer_stmt(c, name, names));
-        return out->with_cond(rw(s->cond()))
-            ->with_body(std::move(body))
-            ->with_orelse(std::move(orelse));
-      }
-      case StmtKind::Call: {
-        require(!stmt_uses(s, name),
-                "unroll_buffer: buffer passed to a call");
-        return out;
-      }
-      default:
-        return out;
-    }
+    if (!(s->is_write() && s->name() == name))
+        return map_exprs(s, rw);
+    std::vector<ExprPtr> idx;
+    for (const auto& i : s->idx())
+        idx.push_back(rw(i));
+    require(!idx.empty(), "unroll_buffer: scalar access");
+    size_t k = split_index(idx[0], names.size(),
+                           "unroll_buffer: non-constant write index");
+    return s->with_name(names[k])
+        ->with_idx(std::vector<ExprPtr>(idx.begin() + 1, idx.end()))
+        ->with_rhs(rw(s->rhs()));
 }
 
 }  // namespace
@@ -613,8 +552,12 @@ unroll_buffer(const ProcPtr& p, const Cursor& alloc, int dim)
         names.push_back(nm);
         repl.push_back(Stmt::make_alloc(nm, s->type(), rest, s->mem()));
     }
-    for (size_t i = static_cast<size_t>(pos) + 1; i < list.size(); i++)
-        repl.push_back(split_buffer_stmt(list[i], s->name(), names));
+    std::vector<StmtPtr> scope = map_block_in_scope(
+        std::vector<StmtPtr>(list.begin() + pos + 1, list.end()), s->name(),
+        [&](const StmtPtr& st) {
+            return split_buffer_here(st, s->name(), names);
+        });
+    repl.insert(repl.end(), scope.begin(), scope.end());
     return apply_replace_range(p, addr, pos, static_cast<int>(list.size()),
                                std::move(repl), "unroll_buffer");
 }
@@ -661,58 +604,32 @@ bind_expr(const ProcPtr& p, const Cursor& e, const std::string& new_name,
         return batch.commit("bind_expr");
     }
     // CSE: replace every structurally-equal occurrence in the enclosing
-    // statement.
+    // statement, header and body. The bound value is read once, before
+    // the statement: a single write reads all its operands before it
+    // writes, but a For or If that writes or binds a name the
+    // expression reads would see a stale value after that write.
     std::optional<CursorLoc> sloc2 =
         batch.forward(CursorLoc{CursorKind::Node, stmt_path, -1});
     require(sloc2.has_value(), "bind_expr: statement lost");
     StmtPtr target = stmt_at(batch.staged(), sloc2->path);
+    if (target->kind() == StmtKind::For || target->kind() == StmtKind::If) {
+        std::vector<std::string> reads;
+        expr_collect_reads(expr, &reads);
+        for (const auto& nm : reads) {
+            require(!stmt_writes(target, nm) &&
+                        !block_binds_name({target}, nm),
+                    "bind_expr: the enclosing statement writes or binds '" +
+                        nm + "', which the expression reads");
+        }
+    }
     std::function<ExprPtr(const ExprPtr&)> sub =
         [&](const ExprPtr& cur) -> ExprPtr {
-        if (expr_equal(cur, expr))
-            return replacement;
-        auto kids = cur->children();
-        bool changed = false;
-        for (auto& k : kids) {
-            auto nk = sub(k);
-            if (nk != k) {
-                changed = true;
-                k = nk;
-            }
-        }
-        return changed ? cur->with_children(std::move(kids)) : cur;
+        return cur == expr ? replacement : map_children(cur, sub);
     };
-    std::function<StmtPtr(const StmtPtr&)> sub_stmt =
-        [&](const StmtPtr& st) -> StmtPtr {
-        StmtPtr out = st;
-        switch (st->kind()) {
-          case StmtKind::Assign:
-          case StmtKind::Reduce: {
-            std::vector<ExprPtr> idx;
-            for (const auto& i : st->idx())
-                idx.push_back(sub(i));
-            return out->with_idx(std::move(idx))->with_rhs(sub(st->rhs()));
-          }
-          case StmtKind::For: {
-            std::vector<StmtPtr> body;
-            for (const auto& cst : st->body())
-                body.push_back(sub_stmt(cst));
-            return out->with_body(std::move(body));
-          }
-          case StmtKind::If: {
-            std::vector<StmtPtr> body;
-            for (const auto& cst : st->body())
-                body.push_back(sub_stmt(cst));
-            std::vector<StmtPtr> orelse;
-            for (const auto& cst : st->orelse())
-                orelse.push_back(sub_stmt(cst));
-            return out->with_body(std::move(body))
-                ->with_orelse(std::move(orelse));
-          }
-          default:
-            return out;
-        }
-    };
-    StmtPtr new_target = sub_stmt(target);
+    StmtPtr new_target =
+        map_in_scope(target, new_name, [&](const StmtPtr& st) {
+            return map_exprs(st, sub);
+        });
     batch.replace_stmt_same_shape(sloc2->path, new_target);
     return batch.commit("bind_expr(cse)");
 }
@@ -783,8 +700,7 @@ stage_mem(const ProcPtr& p, const Cursor& block, const std::string& buf,
                 }
             }
         };
-        for (const auto& st : body)
-            visit_stmt_buffer_accesses(base, st, buf, chk);
+        visit_buffer_accesses(base, body, buf, chk);
         require(ok, "stage_mem: access '" + bad +
                         "' escapes the staged window of '" + buf + "'");
     }
@@ -865,12 +781,9 @@ stage_mem(const ProcPtr& p, const Cursor& block, const std::string& buf,
         }
         return out;
     };
-    std::vector<StmtPtr> new_body;
-    for (const auto& st : body) {
-        StmtPtr rewritten =
-            rewrite_buffer_access(st, buf, point_fn, window_fn);
-        new_body.push_back(rename_buffer(rewritten, buf, new_name));
-    }
+    std::vector<StmtPtr> new_body = rename_buffer_block(
+        rewrite_buffer_access_block(body, buf, point_fn, window_fn), buf,
+        new_name);
 
     std::vector<StmtPtr> repl;
     repl.push_back(alloc_stmt);

@@ -239,11 +239,8 @@ bool
 block_binds_name(const std::vector<StmtPtr>& b, const std::string& name)
 {
     for (const auto& s : b) {
-        if (s->kind() == StmtKind::For && s->iter() == name)
-            return true;
-        if ((s->kind() == StmtKind::Alloc ||
-             s->kind() == StmtKind::WindowDecl) &&
-            s->name() == name) {
+        if ((s->kind() == StmtKind::For && s->iter() == name) ||
+            declares(s, name)) {
             return true;
         }
         if (block_binds_name(s->body(), name) ||
@@ -255,67 +252,11 @@ block_binds_name(const std::vector<StmtPtr>& b, const std::string& name)
 }
 
 bool
-stmt_uses_unshadowed(const StmtPtr& s, const std::string& name)
+block_uses_unshadowed(const std::vector<StmtPtr>& b, const std::string& name)
 {
-    auto expr_use = [&](const ExprPtr& e) {
-        return e && expr_uses(e, name);
-    };
-    auto block_uses = [&](const std::vector<StmtPtr>& b) {
-        for (const auto& c : b) {
-            if (stmt_uses_unshadowed(c, name))
-                return true;
-            if ((c->kind() == StmtKind::Alloc ||
-                 c->kind() == StmtKind::WindowDecl) &&
-                c->name() == name) {
-                return false;  // re-declared: rest of the list shadowed
-            }
-        }
-        return false;
-    };
-    switch (s->kind()) {
-      case StmtKind::Assign:
-      case StmtKind::Reduce: {
-        if (s->name() == name)
-            return true;
-        for (const auto& i : s->idx()) {
-            if (expr_use(i))
-                return true;
-        }
-        return expr_use(s->rhs());
-      }
-      case StmtKind::Alloc: {
-        for (const auto& d : s->dims()) {
-            if (expr_use(d))
-                return true;
-        }
-        return false;  // the declaration itself is not a use
-      }
-      case StmtKind::WindowDecl:
-        // Windowing `name` as the base is a use; the declared window
-        // name itself is a binder, not a use.
-        return expr_use(s->rhs());
-      case StmtKind::For:
-        if (expr_use(s->lo()) || expr_use(s->hi()))
-            return true;
-        if (s->iter() == name)
-            return false;  // iterator shadows the body
-        return block_uses(s->body());
-      case StmtKind::If:
-        return expr_use(s->cond()) || block_uses(s->body()) ||
-               block_uses(s->orelse());
-      case StmtKind::Pass:
-        return false;
-      case StmtKind::Call: {
-        for (const auto& a : s->args()) {
-            if (expr_use(a))
-                return true;
-        }
-        return false;
-      }
-      case StmtKind::WriteConfig:
-        return expr_use(s->rhs());
-    }
-    return false;
+    return any_block_in_scope(b, name, [&](const StmtPtr& st) {
+        return stmt_uses_here(st, name);
+    });
 }
 
 void
@@ -373,114 +314,58 @@ rewrite_access_expr(const ExprPtr& e, const std::string& name,
                     const WindowRewriteFn& window_fn,
                     bool whole_buffer_ok = false)
 {
-    if (!e)
-        return e;
+    auto rw = [&](const ExprPtr& k) {
+        return rewrite_access_expr(k, name, point_fn, window_fn);
+    };
     if (e->kind() == ExprKind::Read && e->name() == name &&
         !(whole_buffer_ok && e->idx().empty())) {
         // Empty-idx reads outside call arguments are scalar accesses of
         // a 0-dim buffer (e.g. pre-expansion staging temps).
         std::vector<ExprPtr> idx;
         idx.reserve(e->idx().size());
-        for (const auto& i : e->idx()) {
-            idx.push_back(
-                rewrite_access_expr(i, name, point_fn, window_fn));
-        }
+        for (const auto& i : e->idx())
+            idx.push_back(rw(i));
         if (point_fn)
             idx = point_fn(idx);
         return Expr::make_read(e->name(), std::move(idx), e->type());
     }
     if (e->kind() == ExprKind::Window && e->name() == name) {
         std::vector<WindowDim> dims;
-        for (const auto& d : e->window_dims()) {
-            WindowDim nd;
-            nd.lo = rewrite_access_expr(d.lo, name, point_fn, window_fn);
-            if (d.hi)
-                nd.hi = rewrite_access_expr(d.hi, name, point_fn, window_fn);
-            dims.push_back(nd);
-        }
+        for (const auto& d : e->window_dims())
+            dims.push_back(WindowDim{rw(d.lo), d.hi ? rw(d.hi) : nullptr});
         if (window_fn)
             dims = window_fn(dims);
         return Expr::make_window(e->name(), std::move(dims), e->type());
     }
-    auto kids = e->children();
-    bool changed = false;
-    for (auto& k : kids) {
-        auto nk = rewrite_access_expr(k, name, point_fn, window_fn);
-        if (nk != k) {
-            changed = true;
-            k = nk;
-        }
-    }
-    if (!changed)
-        return e;
-    return e->with_children(std::move(kids));
+    return map_children(e, rw);
 }
 
-/** Whether `s` re-binds `name` for the rest of its statement list. */
-bool
-shadows_name(const StmtPtr& s, const std::string& name)
-{
-    return (s->kind() == StmtKind::Alloc ||
-            s->kind() == StmtKind::WindowDecl) &&
-           s->name() == name;
-}
-
-}  // namespace
-
+/** The one-statement part of `rewrite_buffer_access_block`. */
 StmtPtr
-rewrite_buffer_access(const StmtPtr& s, const std::string& name,
+rewrite_accesses_here(const StmtPtr& s, const std::string& name,
                       const PointRewriteFn& point_fn,
                       const WindowRewriteFn& window_fn)
 {
-    StmtPtr out = s;
     auto rw = [&](const ExprPtr& e) {
         return rewrite_access_expr(e, name, point_fn, window_fn);
     };
-    switch (s->kind()) {
-      case StmtKind::Assign:
-      case StmtKind::Reduce: {
+    if (s->kind() == StmtKind::Call) {
+        // Whole-buffer pass stays untouched; windows are rewritten.
+        return map_exprs(s, [&](const ExprPtr& e) {
+            return rewrite_access_expr(e, name, point_fn, window_fn,
+                                       /*whole_buffer_ok=*/true);
+        });
+    }
+    if (s->is_write() && s->name() == name && point_fn) {
         std::vector<ExprPtr> idx;
         for (const auto& i : s->idx())
             idx.push_back(rw(i));
-        if (s->name() == name && point_fn)
-            idx = point_fn(idx);
-        out = out->with_idx(std::move(idx))->with_rhs(rw(s->rhs()));
-        return out;
-      }
-      case StmtKind::Alloc:
-        return out;
-      case StmtKind::For:
-        // An iterator of the same name shadows the buffer inside the
-        // body (bounds evaluate outside the iterator's scope).
-        if (s->iter() == name)
-            return out->with_bounds(rw(s->lo()), rw(s->hi()));
-        return out->with_bounds(rw(s->lo()), rw(s->hi()))
-            ->with_body(rewrite_buffer_access_block(s->body(), name,
-                                                    point_fn, window_fn));
-      case StmtKind::If:
-        return out->with_cond(rw(s->cond()))
-            ->with_body(rewrite_buffer_access_block(s->body(), name,
-                                                    point_fn, window_fn))
-            ->with_orelse(rewrite_buffer_access_block(s->orelse(), name,
-                                                      point_fn, window_fn));
-      case StmtKind::Pass:
-        return out;
-      case StmtKind::Call: {
-        std::vector<ExprPtr> args;
-        for (const auto& a : s->args()) {
-            // Whole-buffer pass stays untouched; windows are rewritten.
-            args.push_back(rewrite_access_expr(a, name, point_fn,
-                                               window_fn,
-                                               /*whole_buffer_ok=*/true));
-        }
-        return out->with_args(std::move(args));
-      }
-      case StmtKind::WriteConfig:
-      case StmtKind::WindowDecl:
-        return out->with_rhs(rw(s->rhs()));
+        return s->with_idx(point_fn(idx))->with_rhs(rw(s->rhs()));
     }
-    throw InternalError("unknown stmt kind");
+    return map_exprs(s, rw);
 }
+
+}  // namespace
 
 std::vector<StmtPtr>
 rewrite_buffer_access_block(const std::vector<StmtPtr>& b,
@@ -488,21 +373,9 @@ rewrite_buffer_access_block(const std::vector<StmtPtr>& b,
                             const PointRewriteFn& point_fn,
                             const WindowRewriteFn& window_fn)
 {
-    std::vector<StmtPtr> out;
-    out.reserve(b.size());
-    bool shadowed = false;
-    for (const auto& s : b) {
-        if (shadowed) {
-            // A re-declaration of `name` earlier in this list: the rest
-            // of the block refers to the new binder, not our buffer.
-            out.push_back(s);
-            continue;
-        }
-        out.push_back(rewrite_buffer_access(s, name, point_fn, window_fn));
-        if (shadows_name(s, name))
-            shadowed = true;
-    }
-    return out;
+    return map_block_in_scope(b, name, [&](const StmtPtr& st) {
+        return rewrite_accesses_here(st, name, point_fn, window_fn);
+    });
 }
 
 namespace {
@@ -511,139 +384,57 @@ ExprPtr
 rename_buffer_expr(const ExprPtr& e, const std::string& old_name,
                    const std::string& new_name)
 {
-    if (!e)
-        return e;
-    if ((e->kind() == ExprKind::Read || e->kind() == ExprKind::Window ||
-         e->kind() == ExprKind::Stride) &&
-        e->name() == old_name) {
-        if (e->kind() == ExprKind::Read) {
-            std::vector<ExprPtr> idx;
-            for (const auto& i : e->idx())
-                idx.push_back(rename_buffer_expr(i, old_name, new_name));
-            return Expr::make_read(new_name, std::move(idx), e->type());
-        }
-        if (e->kind() == ExprKind::Window) {
-            std::vector<WindowDim> dims;
-            for (const auto& d : e->window_dims()) {
-                WindowDim nd;
-                nd.lo = rename_buffer_expr(d.lo, old_name, new_name);
-                if (d.hi)
-                    nd.hi = rename_buffer_expr(d.hi, old_name, new_name);
-                dims.push_back(nd);
-            }
-            return Expr::make_window(new_name, std::move(dims), e->type());
-        }
+    auto rw = [&](const ExprPtr& k) {
+        return rename_buffer_expr(k, old_name, new_name);
+    };
+    if (e->kind() == ExprKind::Read && e->name() == old_name) {
+        std::vector<ExprPtr> idx;
+        for (const auto& i : e->idx())
+            idx.push_back(rw(i));
+        return Expr::make_read(new_name, std::move(idx), e->type());
+    }
+    if (e->kind() == ExprKind::Window && e->name() == old_name) {
+        std::vector<WindowDim> dims;
+        for (const auto& d : e->window_dims())
+            dims.push_back(WindowDim{rw(d.lo), d.hi ? rw(d.hi) : nullptr});
+        return Expr::make_window(new_name, std::move(dims), e->type());
+    }
+    if (e->kind() == ExprKind::Stride && e->name() == old_name)
         return Expr::make_stride(new_name, e->stride_dim());
-    }
-    auto kids = e->children();
-    bool changed = false;
-    for (auto& k : kids) {
-        auto nk = rename_buffer_expr(k, old_name, new_name);
-        if (nk != k) {
-            changed = true;
-            k = nk;
-        }
-    }
-    if (!changed)
-        return e;
-    return e->with_children(std::move(kids));
+    return map_children(e, rw);
+}
+
+/** The one-statement part of `rename_buffer_block`: references and the
+ *  write target, never a declaration. */
+StmtPtr
+rename_here(const StmtPtr& s, const std::string& old_name,
+            const std::string& new_name)
+{
+    StmtPtr out = map_exprs(s, [&](const ExprPtr& e) {
+        return rename_buffer_expr(e, old_name, new_name);
+    });
+    if (out->is_write() && out->name() == old_name)
+        out = out->with_name(new_name);
+    return out;
 }
 
 }  // namespace
 
-StmtPtr
-rename_buffer(const StmtPtr& s, const std::string& old_name,
-              const std::string& new_name)
+std::vector<StmtPtr>
+rename_buffer_block(const std::vector<StmtPtr>& b, const std::string& old_name,
+                    const std::string& new_name)
 {
-    auto rw = [&](const ExprPtr& e) {
-        return rename_buffer_expr(e, old_name, new_name);
-    };
-    StmtPtr out = s;
-    switch (s->kind()) {
-      case StmtKind::Assign:
-      case StmtKind::Reduce: {
-        std::vector<ExprPtr> idx;
-        for (const auto& i : s->idx())
-            idx.push_back(rw(i));
-        out = out->with_idx(std::move(idx))->with_rhs(rw(s->rhs()));
-        if (s->name() == old_name)
-            out = out->with_name(new_name);
-        return out;
-      }
-      case StmtKind::Alloc: {
-        std::vector<ExprPtr> dims;
-        for (const auto& d : s->dims())
-            dims.push_back(rw(d));
-        out = out->with_dims(std::move(dims));
-        if (s->name() == old_name)
-            out = out->with_name(new_name);
-        return out;
-      }
-      case StmtKind::For: {
-        if (s->iter() == old_name)
-            return out->with_bounds(rw(s->lo()), rw(s->hi()));
-        auto rename_block = [&](const std::vector<StmtPtr>& b) {
-            std::vector<StmtPtr> nb;
-            bool shadowed = false;
-            for (const auto& c : b) {
-                nb.push_back(shadowed
-                                 ? c
-                                 : rename_buffer(c, old_name, new_name));
-                if (shadows_name(c, old_name))
-                    shadowed = true;
-            }
-            return nb;
-        };
-        return out->with_bounds(rw(s->lo()), rw(s->hi()))
-            ->with_body(rename_block(s->body()));
-      }
-      case StmtKind::If: {
-        auto rename_block = [&](const std::vector<StmtPtr>& b) {
-            std::vector<StmtPtr> nb;
-            bool shadowed = false;
-            for (const auto& c : b) {
-                nb.push_back(shadowed
-                                 ? c
-                                 : rename_buffer(c, old_name, new_name));
-                if (shadows_name(c, old_name))
-                    shadowed = true;
-            }
-            return nb;
-        };
-        return out->with_cond(rw(s->cond()))
-            ->with_body(rename_block(s->body()))
-            ->with_orelse(rename_block(s->orelse()));
-      }
-      case StmtKind::Pass:
-        return out;
-      case StmtKind::Call: {
-        std::vector<ExprPtr> args;
-        for (const auto& a : s->args())
-            args.push_back(rw(a));
-        return out->with_args(std::move(args));
-      }
-      case StmtKind::WriteConfig:
-        return out->with_rhs(rw(s->rhs()));
-      case StmtKind::WindowDecl: {
-        out = out->with_rhs(rw(s->rhs()));
-        if (s->name() == old_name)
-            out = out->with_name(new_name);
-        return out;
-      }
-    }
-    throw InternalError("unknown stmt kind");
+    return map_block_in_scope(b, old_name, [&](const StmtPtr& st) {
+        return rename_here(st, old_name, new_name);
+    });
 }
 
 namespace {
 
 void
-visit_expr_accesses(
-    const Context& ctx, const ExprPtr& e, const std::string& name,
-    const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
-        visit)
+visit_expr_accesses(const Context& ctx, const ExprPtr& e,
+                    const std::string& name, const AccessVisitFn& visit)
 {
-    if (!e)
-        return;
     if (e->kind() == ExprKind::Read && e->name() == name) {
         visit(ctx, e->idx());
     }
@@ -658,114 +449,53 @@ visit_expr_accesses(
         visit(ctx, los);
         visit(ctx, his);
     }
-    for (const auto& k : e->children())
+    any_child(e, [&](const ExprPtr& k) {
         visit_expr_accesses(ctx, k, name, visit);
-}
-
-void
-visit_stmt_accesses(
-    Context& ctx, const StmtPtr& s, const std::string& name,
-    const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
-        visit)
-{
-    switch (s->kind()) {
-      case StmtKind::Assign:
-      case StmtKind::Reduce:
-        if (s->name() == name)
-            visit(ctx, s->idx());
-        for (const auto& i : s->idx())
-            visit_expr_accesses(ctx, i, name, visit);
-        visit_expr_accesses(ctx, s->rhs(), name, visit);
-        return;
-      case StmtKind::Alloc:
-        return;
-      case StmtKind::For: {
-        if (s->iter() == name)
-            return;  // iterator shadows the buffer in the body
-        Context::Scope in(ctx);
-        ctx.enter_loop(s->iter(), s->lo(), s->hi());
-        for (const auto& c : s->body()) {
-            visit_stmt_accesses(ctx, c, name, visit);
-            if (shadows_name(c, name))
-                break;
-        }
-        return;
-      }
-      case StmtKind::If: {
-        visit_expr_accesses(ctx, s->cond(), name, visit);
-        {
-            Context::Scope in(ctx);
-            ctx.assume(s->cond());
-            for (const auto& c : s->body()) {
-                visit_stmt_accesses(ctx, c, name, visit);
-                if (shadows_name(c, name))
-                    break;
-            }
-        }
-        Context::Scope in(ctx);
-        ctx.assume_not(s->cond());
-        for (const auto& c : s->orelse()) {
-            visit_stmt_accesses(ctx, c, name, visit);
-            if (shadows_name(c, name))
-                break;
-        }
-        return;
-      }
-      case StmtKind::Pass:
-        return;
-      case StmtKind::Call:
-        for (const auto& a : s->args())
-            visit_expr_accesses(ctx, a, name, visit);
-        return;
-      case StmtKind::WriteConfig:
-      case StmtKind::WindowDecl:
-        visit_expr_accesses(ctx, s->rhs(), name, visit);
-        return;
-    }
+        return false;
+    });
 }
 
 }  // namespace
 
 void
-visit_stmt_buffer_accesses(
-    Context& base, const StmtPtr& s, const std::string& name,
-    const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
-        visit)
+visit_buffer_accesses(Context& ctx, const std::vector<StmtPtr>& b,
+                      const std::string& name, const AccessVisitFn& visit)
 {
-    visit_stmt_accesses(base, s, name, visit);
+    auto here = [&](const StmtPtr& s) {
+        if (s->is_write() && s->name() == name)
+            visit(ctx, s->idx());
+        any_expr(s, [&](const ExprPtr& e) {
+            visit_expr_accesses(ctx, e, name, visit);
+            return false;
+        });
+        return false;
+    };
+    auto descend = [&](const StmtPtr& s, PathLabel body,
+                       const std::function<bool()>& walk) {
+        Context::Scope in(ctx);
+        if (s->kind() == StmtKind::For)
+            ctx.enter_loop(s->iter(), s->lo(), s->hi());
+        else if (body == PathLabel::Body)
+            ctx.assume(s->cond());
+        else
+            ctx.assume_not(s->cond());
+        return walk();
+    };
+    any_block_in_scope(b, name, here, descend);
 }
 
 void
-visit_alloc_scope_accesses(
-    const ProcPtr& p, const Path& alloc_path, const std::string& name,
-    const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
-        visit)
+visit_alloc_scope_accesses(const ProcPtr& p, const Path& alloc_path,
+                           const std::string& name,
+                           const AccessVisitFn& visit)
 {
     int pos = 0;
     ListAddr addr = list_addr_of(alloc_path, &pos);
     const auto& list = stmt_list_at(p, addr);
     Context ctx = Context::at(p, alloc_path);
-    for (size_t i = static_cast<size_t>(pos) + 1; i < list.size(); i++) {
-        visit_stmt_accesses(ctx, list[i], name, visit);
-        if (shadows_name(list[i], name))
-            break;  // re-declared: the rest refers to the new binder
-    }
-}
-
-void
-visit_buffer_accesses(
-    const ProcPtr& p, const Path& root, const std::string& name,
-    const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
-        visit)
-{
-    if (root.empty()) {
-        Context ctx = Context::at(p, {});
-        for (const auto& s : p->body_stmts())
-            visit_stmt_accesses(ctx, s, name, visit);
-        return;
-    }
-    Context ctx = Context::at(p, root);
-    visit_stmt_accesses(ctx, stmt_at(p, root), name, visit);
+    visit_buffer_accesses(
+        ctx, std::vector<StmtPtr>(list.begin() + pos + 1, list.end()), name,
+        visit);
 }
 
 }  // namespace exo2

@@ -79,13 +79,15 @@ void require_binders_do_not_escape(const ProcPtr& p, const ListAddr& addr,
                                    int lo, int hi, const std::string& who);
 
 /**
- * Like `stmt_uses`, but shadowing-aware: a use under a re-declaration
- * of `name` (Alloc/WindowDecl in a nested block, or a For iterator of
- * the same name) refers to a different binder and does not count, and
- * a bare re-declaration itself is not a use. Primitives that grow a
- * binder's scope (lift_alloc) use this to detect capture.
+ * Like `stmt_uses` over `b`, but only within the scope of a binding of
+ * `name` visible at the start of `b` (the scope rule, ir/stmt.h): a use
+ * after a re-declaration of `name` or under a For iterator of that name
+ * refers to a different binder and does not count, and a bare
+ * re-declaration itself is not a use. Primitives that grow a binder's
+ * scope (lift_alloc, sink_alloc) use this to detect capture.
  */
-bool stmt_uses_unshadowed(const StmtPtr& s, const std::string& name);
+bool block_uses_unshadowed(const std::vector<StmtPtr>& b,
+                           const std::string& name);
 
 /**
  * Whether any statement in `b` (recursively) binds `name` — as a For
@@ -106,54 +108,55 @@ ForwardFn fwd_relocate_list(ListAddr old_list, ListAddr new_list,
                             ForwardFn rest);
 
 /**
- * Rewrite every access to buffer `name` in a statement:
+ * Rewrite every access to buffer `name` in `b` that a binding of it
+ * visible at the start of `b` reaches (the scope rule, ir/stmt.h):
  * `point_fn` maps point index vectors, `window_fn` maps window dims
  * (both must handle the buffer's access arity). Null fns mean identity.
+ * A whole-buffer call argument is left as it is.
  */
 using PointRewriteFn =
     std::function<std::vector<ExprPtr>(const std::vector<ExprPtr>&)>;
 using WindowRewriteFn =
     std::function<std::vector<WindowDim>(const std::vector<WindowDim>&)>;
 
-StmtPtr rewrite_buffer_access(const StmtPtr& s, const std::string& name,
-                              const PointRewriteFn& point_fn,
-                              const WindowRewriteFn& window_fn);
-
 std::vector<StmtPtr> rewrite_buffer_access_block(
     const std::vector<StmtPtr>& b, const std::string& name,
     const PointRewriteFn& point_fn, const WindowRewriteFn& window_fn);
 
-/** Rename buffer `old_name` to `new_name` in reads and writes. */
-StmtPtr rename_buffer(const StmtPtr& s, const std::string& old_name,
-                      const std::string& new_name);
+/**
+ * Rename buffer `old_name` to `new_name` in the reads, windows, strides
+ * and write targets in `b` that a binding of `old_name` visible at the
+ * start of `b` reaches. A declaration is never renamed: a nested
+ * re-declaration of `old_name` keeps its name and its uses keep theirs.
+ */
+std::vector<StmtPtr> rename_buffer_block(const std::vector<StmtPtr>& b,
+                                         const std::string& old_name,
+                                         const std::string& new_name);
+
+/** Called with the Context at an access and its point indices. */
+using AccessVisitFn =
+    std::function<void(const Context&, const std::vector<ExprPtr>&)>;
 
 /**
  * Visit every access (Read / Window / write target) of buffer `name`
- * under `s`, with the Context at that access point. Used by primitives
- * that must prove per-access facts (expand_dim, resize_dim, stage_mem).
- * The visitor receives point index expressions (windows are reported
- * once per dim pair via lo and hi-1 points).
+ * that a binding of it visible at the start of `b` reaches, with the
+ * Context at that access point. Used by primitives that must prove
+ * per-access facts (expand_dim, resize_dim, stage_mem). The visitor
+ * receives point index expressions (windows are reported once per dim
+ * pair via lo and hi-1 points). The walk extends `ctx` in place and
+ * leaves it as it found it.
  */
-void visit_buffer_accesses(
-    const ProcPtr& p, const Path& root, const std::string& name,
-    const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
-        visit);
+void visit_buffer_accesses(Context& ctx, const std::vector<StmtPtr>& b,
+                           const std::string& name,
+                           const AccessVisitFn& visit);
 
 /**
  * Visit accesses of buffer `name` within the scope of the allocation
  * at `alloc_path` (the statements following it in its list).
  */
-void visit_alloc_scope_accesses(
-    const ProcPtr& p, const Path& alloc_path, const std::string& name,
-    const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
-        visit);
-
-/** Visit accesses of one statement under an explicit base context. The
- *  walk extends `base` in place and leaves it as it found it. */
-void visit_stmt_buffer_accesses(
-    Context& base, const StmtPtr& s, const std::string& name,
-    const std::function<void(const Context&, const std::vector<ExprPtr>&)>&
-        visit);
+void visit_alloc_scope_accesses(const ProcPtr& p, const Path& alloc_path,
+                                const std::string& name,
+                                const AccessVisitFn& visit);
 
 }  // namespace exo2
 

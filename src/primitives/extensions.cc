@@ -334,8 +334,10 @@ bind_expr_block(const ProcPtr& p, const Cursor& block, const ExprPtr& expr,
                                     "insertion point");
                     }
                 }
-                for (const auto& k : e->children())
+                any_child(e, [&](const ExprPtr& k) {
                     check(k);
+                    return false;
+                });
             };
         check(expr);
     }
@@ -344,57 +346,19 @@ bind_expr_block(const ProcPtr& p, const Cursor& block, const ExprPtr& expr,
         Expr::make_read(new_name, {}, expr->type());
     std::function<ExprPtr(const ExprPtr&)> sub =
         [&](const ExprPtr& cur) -> ExprPtr {
-        if (expr_equal(cur, expr))
-            return replacement;
-        auto kids = cur->children();
-        bool changed = false;
-        for (auto& k : kids) {
-            auto nk = sub(k);
-            if (nk != k) {
-                changed = true;
-                k = nk;
-            }
-        }
-        return changed ? cur->with_children(std::move(kids)) : cur;
+        return cur == expr ? replacement : map_children(cur, sub);
     };
-    std::function<StmtPtr(const StmtPtr&)> sub_stmt =
-        [&](const StmtPtr& st) -> StmtPtr {
-        StmtPtr out = st;
-        switch (st->kind()) {
-          case StmtKind::Assign:
-          case StmtKind::Reduce: {
-            std::vector<ExprPtr> idx;
-            for (const auto& i : st->idx())
-                idx.push_back(sub(i));
-            return out->with_idx(std::move(idx))
-                ->with_rhs(sub(st->rhs()));
-          }
-          case StmtKind::For: {
-            std::vector<StmtPtr> nb;
-            for (const auto& cst : st->body())
-                nb.push_back(sub_stmt(cst));
-            return out->with_body(std::move(nb));
-          }
-          case StmtKind::If: {
-            std::vector<StmtPtr> nb;
-            for (const auto& cst : st->body())
-                nb.push_back(sub_stmt(cst));
-            std::vector<StmtPtr> ne;
-            for (const auto& cst : st->orelse())
-                ne.push_back(sub_stmt(cst));
-            return out->with_body(std::move(nb))
-                ->with_orelse(std::move(ne));
-          }
-          default:
-            return out;
-        }
-    };
+    // The occurrences in the block's writes are replaced; loop bounds,
+    // guards and call arguments keep theirs.
+    std::vector<StmtPtr> bound_body =
+        map_block_in_scope(body, new_name, [&](const StmtPtr& st) {
+            return st->is_write() ? map_exprs(st, sub) : st;
+        });
     std::vector<StmtPtr> repl;
     repl.push_back(Stmt::make_alloc(new_name, expr->type(), {},
                                     mem_dram()));
     repl.push_back(Stmt::make_assign(new_name, {}, expr, expr->type()));
-    for (const auto& st : body)
-        repl.push_back(sub_stmt(st));
+    repl.insert(repl.end(), bound_body.begin(), bound_body.end());
 
     // Forwarding: block stmts shift by 2; structure preserved.
     ListAddr old_addr = addr;

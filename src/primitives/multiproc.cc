@@ -102,8 +102,7 @@ struct Unifier
                 return false;
             auto it = scalars.find(f->name());
             if (it != scalars.end())
-                return affine_equal(it->second, t) ||
-                       expr_equal(it->second, t);
+                return affine_equal(it->second, t) || it->second == t;
             scalars[f->name()] = t;
             return true;
         }
@@ -475,6 +474,48 @@ replace_all_stmts(const ProcPtr& p, const std::vector<ProcPtr>& instrs)
     return cur;
 }
 
+namespace {
+
+/**
+ * `b` with every declaration of `from` renamed to `to`, together with
+ * the uses each one binds (`rename_buffer_block` renames only uses).
+ * References to an outer `from` stay as they are.
+ */
+std::vector<StmtPtr>
+rename_declarations(const std::vector<StmtPtr>& b, const std::string& from,
+                    const std::string& to)
+{
+    std::vector<StmtPtr> out;
+    out.reserve(b.size());
+    for (size_t i = 0; i < b.size(); i++) {
+        if (declares(b[i], from)) {
+            // Its scope is the rest of the list; a later declaration of
+            // `from` there is renamed with its own uses in turn.
+            out.push_back(b[i]->with_name(to));
+            std::vector<StmtPtr> rest = rename_declarations(
+                rename_buffer_block(
+                    std::vector<StmtPtr>(b.begin() + static_cast<long>(i) + 1,
+                                         b.end()),
+                    from, to),
+                from, to);
+            out.insert(out.end(), rest.begin(), rest.end());
+            return out;
+        }
+        StmtPtr s = b[i];
+        std::vector<StmtPtr> body = rename_declarations(s->body(), from, to);
+        if (body != s->body())
+            s = s->with_body(std::move(body));
+        std::vector<StmtPtr> orelse =
+            rename_declarations(s->orelse(), from, to);
+        if (orelse != s->orelse())
+            s = s->with_orelse(std::move(orelse));
+        out.push_back(std::move(s));
+    }
+    return out;
+}
+
+}  // namespace
+
 ProcPtr
 inline_call(const ProcPtr& p, const Cursor& call)
 {
@@ -488,15 +529,12 @@ inline_call(const ProcPtr& p, const Cursor& call)
             "inline: arity mismatch");
 
     std::vector<StmtPtr> body = callee->body_stmts();
-    // Rename local allocations fresh to avoid collisions.
+    // Rename local allocations fresh to avoid collisions, each
+    // declaration together with the uses it binds.
     for (const auto& nm : collect_allocs(body)) {
         std::string fresh = fresh_in(p, nm);
-        if (fresh != nm) {
-            std::vector<StmtPtr> nb;
-            for (const auto& st : body)
-                nb.push_back(rename_buffer(st, nm, fresh));
-            body = std::move(nb);
-        }
+        if (fresh != nm)
+            body = rename_declarations(body, nm, fresh);
     }
 
     for (size_t i = 0; i < callee->args().size(); i++) {
@@ -507,10 +545,7 @@ inline_call(const ProcPtr& p, const Cursor& call)
             continue;
         }
         if (actual->kind() == ExprKind::Read && actual->idx().empty()) {
-            std::vector<StmtPtr> nb;
-            for (const auto& st : body)
-                nb.push_back(rename_buffer(st, f.name, actual->name()));
-            body = std::move(nb);
+            body = rename_buffer_block(body, f.name, actual->name());
             continue;
         }
         require(actual->kind() == ExprKind::Window,
@@ -556,13 +591,9 @@ inline_call(const ProcPtr& p, const Cursor& call)
                 }
                 return out;
             };
-        std::vector<StmtPtr> nb;
-        for (const auto& st : body) {
-            StmtPtr r =
-                rewrite_buffer_access(st, f.name, point_fn, window_fn);
-            nb.push_back(rename_buffer(r, f.name, actual->name()));
-        }
-        body = std::move(nb);
+        body = rename_buffer_block(
+            rewrite_buffer_access_block(body, f.name, point_fn, window_fn),
+            f.name, actual->name());
     }
 
     int pos = 0;

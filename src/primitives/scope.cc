@@ -327,7 +327,7 @@ fuse(const ProcPtr& p, const Cursor& scope1, const Cursor& scope2)
         fused = Stmt::make_for(s2->iter(), s1->lo(), s1->hi(),
                                std::move(body), s1->loop_mode());
     } else if (s1->kind() == StmtKind::If && s2->kind() == StmtKind::If) {
-        require(expr_equal(s1->cond(), s2->cond()),
+        require(s1->cond() == s2->cond(),
                 "fuse: if conditions must be identical");
         // The first if's branches must not change the condition's value.
         std::vector<std::string> cond_reads;

@@ -68,38 +68,15 @@ class Simplifier
 
     ExprPtr expr(const ExprPtr& e)
     {
-        if (!e)
-            return e;
-        switch (e->kind()) {
-          case ExprKind::Const:
-          case ExprKind::Stride:
-          case ExprKind::ReadConfig:
-            return e;
-          case ExprKind::Read:
-          case ExprKind::Extern:
-          case ExprKind::Window:
-          case ExprKind::USub: {
-            auto kids = e->children();
-            bool changed = false;
-            for (auto& k : kids) {
-                auto nk = expr(k);
-                if (nk != k) {
-                    changed = true;
-                    k = nk;
-                }
-            }
-            ExprPtr out = changed ? e->with_children(std::move(kids)) : e;
-            if (out->kind() == ExprKind::USub &&
-                out->lhs()->kind() == ExprKind::Const) {
-                return Expr::make_const(-out->lhs()->const_value(),
-                                        out->type());
-            }
-            return out;
-          }
-          case ExprKind::BinOp:
+        if (e->kind() == ExprKind::BinOp)
             return binop(e);
+        ExprPtr out =
+            map_children(e, [&](const ExprPtr& k) { return expr(k); });
+        if (out->kind() == ExprKind::USub &&
+            out->lhs()->kind() == ExprKind::Const) {
+            return Expr::make_const(-out->lhs()->const_value(), out->type());
         }
-        throw InternalError("unknown expr kind");
+        return out;
     }
 
   private:
@@ -204,85 +181,40 @@ simplify_block(Context& ctx, const std::vector<StmtPtr>& b)
 StmtPtr
 simplify_stmt(Context& ctx, const StmtPtr& s)
 {
-    // Every case returns `s` unchanged when simplification was a no-op
-    // (vector == compares elementwise shared_ptrs, which interning
-    // makes exact), keeping subtree identity and cached analyses.
+    // `s` comes back unchanged when simplification was a no-op (interned
+    // expressions compare by pointer), keeping subtree identity and
+    // cached analyses. The header is simplified first, under the outer
+    // facts; a body sees the simplified loop range or guard.
     Simplifier sim(ctx);
-    auto rw = [&](const ExprPtr& e) { return sim.expr(e); };
-    switch (s->kind()) {
-      case StmtKind::Assign:
-      case StmtKind::Reduce: {
-        std::vector<ExprPtr> idx;
-        for (const auto& i : s->idx())
-            idx.push_back(rw(i));
-        ExprPtr rhs = rw(s->rhs());
-        if (rhs == s->rhs() && idx == s->idx())
-            return s;
-        return s->with_idx(std::move(idx))->with_rhs(std::move(rhs));
-      }
-      case StmtKind::Alloc: {
-        std::vector<ExprPtr> dims;
-        for (const auto& d : s->dims())
-            dims.push_back(rw(d));
-        if (dims == s->dims())
-            return s;
-        return s->with_dims(std::move(dims));
-      }
-      case StmtKind::For: {
-        ExprPtr lo = rw(s->lo());
-        ExprPtr hi = rw(s->hi());
+    StmtPtr out = map_exprs(s, [&](const ExprPtr& e) { return sim.expr(e); });
+    if (s->kind() == StmtKind::For) {
         std::vector<StmtPtr> body;
         {
             Context::Scope in(ctx);
-            ctx.enter_loop(s->iter(), lo, hi);
+            ctx.enter_loop(out->iter(), out->lo(), out->hi());
             body = simplify_block(ctx, s->body());
         }
-        if (lo == s->lo() && hi == s->hi() && body == s->body())
-            return s;
-        return s->with_bounds(std::move(lo), std::move(hi))
-            ->with_body(std::move(body));
-      }
-      case StmtKind::If: {
-        ExprPtr cond = rw(s->cond());
+        return body == s->body() ? out : out->with_body(std::move(body));
+    }
+    if (s->kind() == StmtKind::If) {
         std::vector<StmtPtr> body;
         std::vector<StmtPtr> orelse;
         {
             Context::Scope in(ctx);
-            ctx.assume(cond);
+            ctx.assume(out->cond());
             body = simplify_block(ctx, s->body());
         }
         {
             Context::Scope in(ctx);
-            ctx.assume_not(cond);
+            ctx.assume_not(out->cond());
             orelse = simplify_block(ctx, s->orelse());
         }
-        if (cond == s->cond() && body == s->body() &&
-            orelse == s->orelse()) {
-            return s;
-        }
-        return s->with_cond(std::move(cond))
-            ->with_body(std::move(body))
-            ->with_orelse(std::move(orelse));
-      }
-      case StmtKind::Pass:
-        return s;
-      case StmtKind::Call: {
-        std::vector<ExprPtr> args;
-        for (const auto& a : s->args())
-            args.push_back(rw(a));
-        if (args == s->args())
-            return s;
-        return s->with_args(std::move(args));
-      }
-      case StmtKind::WriteConfig:
-      case StmtKind::WindowDecl: {
-        ExprPtr rhs = rw(s->rhs());
-        if (rhs == s->rhs())
-            return s;
-        return s->with_rhs(std::move(rhs));
-      }
+        if (body != s->body())
+            out = out->with_body(std::move(body));
+        if (orelse != s->orelse())
+            out = out->with_orelse(std::move(orelse));
     }
-    throw InternalError("unknown stmt kind");
+    return out;
 }
 
 }  // namespace
@@ -518,22 +450,11 @@ inline_window(const ProcPtr& p, const Cursor& window_decl)
     int pos = 0;
     ListAddr addr = list_addr_of(c.loc().path, &pos);
     const auto& list = stmt_list_at(p, addr);
-    std::vector<StmtPtr> repl;
-    bool shadowed = false;
-    for (size_t i = static_cast<size_t>(pos) + 1; i < list.size(); i++) {
-        if (shadowed) {
-            repl.push_back(list[i]);
-            continue;
-        }
-        StmtPtr rewritten =
-            rewrite_buffer_access(list[i], wname, point_fn, window_fn);
-        repl.push_back(rename_buffer(rewritten, wname, bname));
-        if ((list[i]->kind() == StmtKind::Alloc ||
-             list[i]->kind() == StmtKind::WindowDecl) &&
-            list[i]->name() == wname) {
-            shadowed = true;  // re-declared: rest refers to the new binder
-        }
-    }
+    std::vector<StmtPtr> repl = rename_buffer_block(
+        rewrite_buffer_access_block(
+            std::vector<StmtPtr>(list.begin() + pos + 1, list.end()), wname,
+            point_fn, window_fn),
+        wname, bname);
     return apply_replace_range(p, addr, pos, static_cast<int>(list.size()),
                                std::move(repl), "inline_window");
 }
@@ -577,37 +498,13 @@ used_outside_suffix(const ProcPtr& p, const ListAddr& addr, int pos,
                     // A bare declaration of the same name is not a use
                     // of our variable (it is the binder itself, or a
                     // shadowing re-declaration).
-                    if ((s->kind() == StmtKind::Alloc ||
-                         s->kind() == StmtKind::WindowDecl) &&
-                        s->name() == name) {
-                        for (const auto& d : s->dims())
-                            found = found || expr_uses(d, name);
-                        if (s->rhs())
-                            found = found || expr_uses(s->rhs(), name);
-                        continue;
-                    }
-                    if (stmt_uses(s, name))
-                        found = true;
+                    found = declares(s, name) ? stmt_uses_here(s, name)
+                                              : stmt_uses(s, name);
                     continue;
                 }
                 // Ancestor of the target list: check this node's own
                 // expressions, then recurse into its lists.
-                for (const auto& e : s->idx())
-                    found = found || expr_uses(e, name);
-                if (s->rhs())
-                    found = found || expr_uses(s->rhs(), name);
-                for (const auto& e : s->dims())
-                    found = found || expr_uses(e, name);
-                if (s->lo())
-                    found = found || expr_uses(s->lo(), name);
-                if (s->hi())
-                    found = found || expr_uses(s->hi(), name);
-                if (s->cond())
-                    found = found || expr_uses(s->cond(), name);
-                for (const auto& e : s->args())
-                    found = found || expr_uses(e, name);
-                if (s->is_write() && s->name() == name)
-                    found = true;
+                found = stmt_uses_here(s, name);
                 Path here = prefix;
                 here.push_back({label, static_cast<int>(i)});
                 if (!s->body().empty())
@@ -653,9 +550,9 @@ inline_assign(const ProcPtr& p, const Cursor& assign)
                         "' is modified after the assignment");
         }
     }
-    std::vector<StmtPtr> repl;
-    for (size_t i = static_cast<size_t>(pos) + 1; i < list.size(); i++)
-        repl.push_back(stmt_subst(list[i], s->name(), s->rhs()));
+    std::vector<StmtPtr> repl = block_subst(
+        std::vector<StmtPtr>(list.begin() + pos + 1, list.end()), s->name(),
+        s->rhs());
     return apply_replace_range(p, addr, pos, static_cast<int>(list.size()),
                                std::move(repl), "inline_assign");
 }

@@ -63,10 +63,8 @@ unroll_and_jam(const ProcPtr& p, const Cursor& outer, int r_fac)
             if (body[k + 1]->kind() == StmtKind::For) {
                 StmtPtr a = body[k];
                 StmtPtr b = body[k + 1];
-                if (!expr_equal(a->lo(), b->lo()) ||
-                    !expr_equal(a->hi(), b->hi())) {
+                if (a->lo() != b->lo() || a->hi() != b->hi())
                     continue;
-                }
                 try {
                     cur = fuse(cur, io_loop.body()[static_cast<int>(k)],
                                io_loop.body()[static_cast<int>(k + 1)]);

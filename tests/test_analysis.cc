@@ -228,6 +228,20 @@ TEST(Context, AtPath)
     EXPECT_FALSE(ctx.prove_lt(var("i"), var("N")));
 }
 
+TEST(Context, ElseBranchOfNeKnowsEq)
+{
+    ProcPtr p = parse_proc(R"(
+def f(a: size, b: size, x: f32[4] @ DRAM):
+    if a != b:
+        x[0] = 1.0
+    else:
+        x[1] = 2.0
+)");
+    Context ctx =
+        Context::at(p, {{PathLabel::Body, 0}, {PathLabel::Orelse, 0}});
+    EXPECT_TRUE(ctx.prove_eq(var("a"), var("b")));
+}
+
 TEST(Effects, CollectGemv)
 {
     ProcPtr p = parse_proc(kGemv);

@@ -104,8 +104,57 @@ TEST(IrExpr, SubstAndEquality)
     ExprPtr e = parse_expr_str("8 * io + ii + 1");
     ExprPtr e2 = expr_subst(e, "ii", idx_const(3));
     EXPECT_EQ(print_expr(e2), "8 * io + 3 + 1");
-    EXPECT_TRUE(expr_equal(e, parse_expr_str("8 * io + ii + 1")));
-    EXPECT_FALSE(expr_equal(e, parse_expr_str("8 * io + ii + 2")));
+    EXPECT_EQ(e, parse_expr_str("8 * io + ii + 1"));
+    EXPECT_NE(e, parse_expr_str("8 * io + ii + 2"));
+}
+
+TEST(IrScope, OneRuleForEveryWalk)
+{
+    // for k in seq(0, k): x[k] = 1.0   -- only the bounds see the outer k
+    // if k < 3: x[k] = 2.0
+    // k: f32[k]                        -- its dims see the outer k
+    // x[k] = 3.0                       -- sees the re-declaration
+    ExprPtr k = var("k");
+    auto write = [&](double v) {
+        return Stmt::make_assign("x", {k}, num_const(v), ScalarType::F32);
+    };
+    std::vector<StmtPtr> b = {
+        Stmt::make_for("k", idx_const(0), k, {write(1.0)}),
+        Stmt::make_if(lt(k, idx_const(3)), {write(2.0)}),
+        Stmt::make_alloc("k", ScalarType::F32, {k}, nullptr),
+        write(3.0),
+    };
+    ExprPtr seven = idx_const(7);
+    std::vector<StmtPtr> out = block_subst(b, "k", seven);
+    ASSERT_EQ(out.size(), 4u);
+    EXPECT_EQ(out[0]->hi(), seven);
+    EXPECT_EQ(out[0]->body(), b[0]->body());  // the iterator's k
+    EXPECT_EQ(out[1]->cond(), lt(seven, idx_const(3)));
+    EXPECT_EQ(out[1]->body()[0]->idx()[0], seven);
+    EXPECT_EQ(out[2]->dims()[0], seven);
+    EXPECT_EQ(out[3], b[3]);  // out of scope: identity kept
+
+    // The visiting helpers reach the same statements, outer before
+    // inner, and a walk that carries facts is asked to enter exactly
+    // the bodies in scope: both sides of the if, its empty else too.
+    std::vector<StmtPtr> seen;
+    std::vector<PathLabel> entered;
+    EXPECT_FALSE(any_block_in_scope(
+        b, "k",
+        [&](const StmtPtr& s) {
+            seen.push_back(s);
+            return false;
+        },
+        [&](const StmtPtr& s, PathLabel body,
+            const std::function<bool()>& walk) {
+            EXPECT_EQ(s, b[1]);
+            entered.push_back(body);
+            return walk();
+        }));
+    EXPECT_EQ(seen, (std::vector<StmtPtr>{b[0], b[1], b[1]->body()[0],
+                                          b[2]}));
+    EXPECT_EQ(entered,
+              (std::vector<PathLabel>{PathLabel::Body, PathLabel::Orelse}));
 }
 
 TEST(IrExpr, Uses)

@@ -96,6 +96,23 @@ def f(n: size, x: f32[4] @ DRAM):
     EXPECT_FALSE(rep.has_errors()) << rep.to_text();
 }
 
+TEST(Lint, ElseBranchOfNeKnowsEq)
+{
+    // In the else branch `i == 2`, so `x[i]` is in bounds: the walker
+    // assumes the negated guard as every other walk does.
+    ProcPtr p = parse_proc(R"(
+def f(n: size, x: f32[4] @ DRAM):
+    for i in seq(0, n):
+        if i != 2:
+            pass
+        else:
+            x[i] = 1.0
+)");
+    LintReport rep = lint::lint_proc(p);
+    EXPECT_FALSE(rep.has_code("EXL001")) << rep.to_text();
+    EXPECT_EQ(rep.proven, rep.obligations) << rep.to_text();
+}
+
 TEST(Lint, EXL004AllocExtentUnprovable)
 {
     ProcPtr p = parse_proc(R"(

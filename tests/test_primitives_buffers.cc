@@ -116,6 +116,35 @@ def r(x: f32[4] @ DRAM):
     expect_equiv(p, p2, {});
 }
 
+TEST(ReuseBuffer, NestedRedeclarationKeepsItsBinding)
+{
+    // The inner `b` is its own buffer: renaming b's uses to `a` must
+    // leave it and its uses alone, not rename the declaration and then
+    // strand its uses without a binding.
+    const char* src = R"(
+def r(x: f32[4] @ DRAM):
+    a: f32[2] @ DRAM
+    a[0] = x[0]
+    x[1] = a[0]
+    b: f32[2] @ DRAM
+    b[0] = x[2]
+    for i in seq(0, 2):
+        b: f32[2] @ DRAM
+        b[1] = x[3]
+        x[3] = b[1] * 2.0
+    x[2] = b[0] * 3.0
+)";
+    ProcPtr p = parse_proc(src);
+    ProcPtr p2 = reuse_buffer(p, p->find_alloc("a"), p->find_alloc("b"));
+    std::string printed = print_proc(p2);
+    EXPECT_NE(printed.find("b: f32[2]"), std::string::npos) << printed;
+    EXPECT_NE(printed.find("x[3] = b[1] * 2.0"), std::string::npos)
+        << printed;
+    EXPECT_NE(printed.find("x[2] = a[0] * 3.0"), std::string::npos)
+        << printed;
+    expect_equiv(p, p2, {});
+}
+
 TEST(ReuseBuffer, RejectsLiveOverlap)
 {
     const char* src = R"(
@@ -253,6 +282,75 @@ def r(x: f32[4] @ DRAM):
     expect_equiv(p, p2, {});
 }
 
+TEST(UnrollBuffer, StopsAtShadowingRedeclaration)
+{
+    // The `t` declared inside the loop is another buffer: its accesses
+    // must keep their binding, not be split into the outer `t_1`.
+    const char* src = R"(
+def r(x: f32[4] @ DRAM):
+    t: f32[2] @ DRAM
+    t[0] = x[0]
+    t[1] = x[1]
+    for i in seq(0, 2):
+        t: f32[2] @ DRAM
+        t[1] = x[3]
+        x[3] = t[1] * 2.0
+    x[2] = t[0] + t[1]
+)";
+    ProcPtr p = parse_proc(src);
+    ProcPtr p2 = unroll_buffer(p, p->find_alloc("t"), 0);
+    std::string printed = print_proc(p2);
+    EXPECT_NE(printed.find("t[1] = x[3]"), std::string::npos) << printed;
+    EXPECT_NE(printed.find("x[2] = t_0 + t_1"), std::string::npos)
+        << printed;
+    expect_equiv(p, p2, {});
+}
+
+TEST(UnrollBuffer, WindowOfTheBuffer)
+{
+    // A window whose dimension 0 is a constant point names one split
+    // buffer and is rewritten to it. (`y = t[...]` rebinds the argument
+    // `y` to the window for the rest of the body.)
+    ProcPtr p = parse_proc(R"(
+def r(x: f32[4] @ DRAM, y: f32[2] @ DRAM):
+    t: f32[2, 2] @ DRAM
+    t[0, 0] = x[0]
+    t[0, 1] = x[1]
+    t[1, 0] = x[2]
+    t[1, 1] = x[3]
+    y = t[1, 0:2]
+    x[0] = y[0] + y[1]
+)");
+    ProcPtr p2 = unroll_buffer(p, p->find_alloc("t"), 0);
+    std::string printed = print_proc(p2);
+    EXPECT_NE(printed.find("y = t_1[0:2]"), std::string::npos) << printed;
+    expect_equiv(p, p2, {});
+
+    // Any other window of the buffer has no split buffer to stand for:
+    // refused, never left reading the deleted `t`.
+    ProcPtr across = parse_proc(R"(
+def r(x: f32[4] @ DRAM, y: f32[2] @ DRAM):
+    t: f32[2, 2] @ DRAM
+    t[0, 0] = x[0]
+    t[1, 0] = x[2]
+    y = t[0:2, 0]
+    x[0] = y[0] + y[1]
+)");
+    EXPECT_THROW(unroll_buffer(across, across->find_alloc("t"), 0),
+                 SchedulingError);
+    ProcPtr varying = parse_proc(R"(
+def r(x: f32[4] @ DRAM, y: f32[2] @ DRAM):
+    t: f32[2, 2] @ DRAM
+    t[0, 0] = x[0]
+    t[1, 0] = x[2]
+    for i in seq(0, 2):
+        y = t[i, 0:2]
+        x[i] = y[0]
+)");
+    EXPECT_THROW(unroll_buffer(varying, varying->find_alloc("t"), 0),
+                 SchedulingError);
+}
+
 TEST(BindExpr, StagesOperand)
 {
     const char* src = R"(
@@ -292,6 +390,51 @@ def r(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
     EXPECT_NE(printed.find("xv = x[i]"), std::string::npos);
     EXPECT_NE(printed.find("y[i] = xv * xv"), std::string::npos);
     expect_equiv(p, p2, {{"n", 5}});
+}
+
+/** A cursor at the left operand of the first statement's condition. */
+Cursor
+cond_lhs(const ProcPtr& p)
+{
+    return Cursor(p, CursorLoc{CursorKind::Node,
+                               {{PathLabel::Body, 0},
+                                {PathLabel::Cond, -1},
+                                {PathLabel::OpLhs, -1}},
+                               -1});
+}
+
+TEST(BindExpr, CseReplacesInTheCondition)
+{
+    const char* src = R"(
+def r(x: f32[1] @ DRAM, y: f32[1] @ DRAM):
+    if x[0] > 0.0:
+        y[0] = x[0] * 2.0
+)";
+    ProcPtr p = parse_proc(src);
+    ProcPtr p2 = bind_expr(p, cond_lhs(p), "xv", /*cse=*/true);
+    std::string printed = print_proc(p2);
+    EXPECT_NE(printed.find("if xv > 0.0"), std::string::npos) << printed;
+    EXPECT_NE(printed.find("y[0] = xv * 2.0"), std::string::npos)
+        << printed;
+    expect_equiv(p, p2, {});
+}
+
+TEST(BindExpr, CseRefusesAReadAfterAWrite)
+{
+    // `y[0] = x[0]` reads the 5.0 the body just wrote; the bound value
+    // is the one from before the if.
+    const char* src = R"(
+def r(x: f32[1] @ DRAM, y: f32[1] @ DRAM):
+    if x[0] > 0.0:
+        x[0] = 5.0
+        y[0] = x[0]
+)";
+    ProcPtr p = parse_proc(src);
+    EXPECT_THROW(bind_expr(p, cond_lhs(p), "xv", /*cse=*/true),
+                 SchedulingError);
+    // Binding the one occurrence at the cursor stays sound.
+    ProcPtr p2 = bind_expr(p, cond_lhs(p), "xv", /*cse=*/false);
+    expect_equiv(p, p2, {});
 }
 
 TEST(StageMem, StagesWindowWithCopyInOut)

@@ -347,6 +347,34 @@ def caller(x: f32[8] @ DRAM, y: f32[8] @ DRAM):
     expect_equiv(p, p2, {});
 }
 
+TEST(InlineCall, FreshensNestedLocalsWithTheirUses)
+{
+    // The callee's `t`, declared inside its loop, collides with the
+    // caller's `t`: it is renamed with every use it binds, so the
+    // inlined body neither clobbers nor reads the caller's buffer.
+    ProcPtr callee = parse_proc(R"(
+def work(y: [f32][2] @ DRAM):
+    for i in seq(0, 1):
+        t: f32[1] @ DRAM
+        t[0] = 100.0
+        y[0] = t[0]
+)");
+    ProcPtr p = parse_proc(R"(
+def caller(x: f32[2] @ DRAM, y: f32[2] @ DRAM):
+    t: f32[1] @ DRAM
+    t[0] = x[0]
+    work(y[0:2])
+    y[1] = t[0]
+)",
+                           {callee});
+    ProcPtr p2 = inline_call(p, p->find("work(_)"));
+    std::string printed = print_proc(p2);
+    EXPECT_NE(printed.find("t_1[0] = 100.0"), std::string::npos)
+        << printed;
+    EXPECT_NE(printed.find("y[0] = t_1[0]"), std::string::npos) << printed;
+    expect_equiv(p, p2, {});
+}
+
 TEST(Replace, UnifiesLoopWithInstr)
 {
     // A vector-load style instruction.
