@@ -17,19 +17,26 @@ namespace exo2 {
 
 namespace {
 
-/** Binding of a callee buffer argument to a caller buffer region. */
+/** Binding of a window or a callee buffer argument to a buffer region. */
 struct BufBinding
 {
     std::string buf;                ///< caller buffer name
     std::vector<WindowDim> window;  ///< caller dims; points consume none
     bool opaque = false;            ///< unknown region: whole buffer
+    bool local = false;             ///< `buf` is declared in the subtree
 };
 
-/** Substitution environment used when inlining callee effects. */
+/**
+ * The collector's environment at a statement: loop binders renamed
+ * fresh (and a callee's scalar formals bound to their actuals), windows
+ * and a callee's buffer formals resolved, and the buffers the collected
+ * subtree has declared so far.
+ */
 struct Env
 {
     std::map<std::string, ExprPtr> scalars;
     std::map<std::string, BufBinding> buffers;
+    std::set<std::string> locals;
 };
 
 std::string
@@ -82,13 +89,14 @@ struct Collector
     int depth = 0;
 
     void emit(std::string buf, AccessKind kind, std::vector<ExprPtr> idx,
-              bool whole)
+              bool whole, bool local)
     {
         Access a;
         a.buf = std::move(buf);
         a.kind = kind;
         a.idx = std::move(idx);
         a.whole_buffer = whole;
+        a.local = local;
         a.binders = binders;
         a.guards = guards;
         out.push_back(std::move(a));
@@ -106,34 +114,24 @@ struct Collector
                 expr(i, env);
                 idx.push_back(apply_env_expr(i, env));
             }
-            auto bit = env.buffers.find(e->name());
-            if (bit != env.buffers.end()) {
-                if (bit->second.opaque) {
-                    emit(bit->second.buf, AccessKind::Read, {}, true);
-                } else {
-                    emit(bit->second.buf, AccessKind::Read,
-                         translate_window(bit->second, idx), false);
-                }
-                return;
-            }
-            auto sit = env.scalars.find(e->name());
-            if (sit != env.scalars.end()) {
+            if (env.buffers.count(e->name()) == 0 &&
+                env.scalars.count(e->name()) != 0) {
                 // Scalar binding: effects were already collected at the
                 // call site when evaluating the actual argument.
                 return;
             }
-            emit(e->name(), AccessKind::Read, std::move(idx), false);
+            access(e->name(), AccessKind::Read, std::move(idx), env);
             return;
           }
           case ExprKind::Window: {
             // Whole-window read (e.g. passed to a call handled at the
             // call site); reading the region conservatively.
-            emit(e->name(), AccessKind::Read, {}, true);
+            access(e->name(), AccessKind::Read, {}, env, /*whole=*/true);
             return;
           }
           case ExprKind::ReadConfig:
             emit("$cfg:" + e->name() + "." + e->field(), AccessKind::Read,
-                 {}, false);
+                 {}, false, false);
             return;
           case ExprKind::Stride:
             return;
@@ -143,6 +141,23 @@ struct Collector
                 return false;
             });
             return;
+        }
+    }
+
+    /** Emit an access of `name` at the (env-applied) `idx`, resolved
+     *  through a window or buffer formal bound to it. */
+    void access(const std::string& name, AccessKind kind,
+                std::vector<ExprPtr> idx, const Env& env, bool whole = false)
+    {
+        auto bit = env.buffers.find(name);
+        if (bit == env.buffers.end()) {
+            emit(name, kind, std::move(idx), whole,
+                 env.locals.count(name) != 0);
+        } else if (bit->second.opaque || whole) {
+            emit(bit->second.buf, kind, {}, true, bit->second.local);
+        } else {
+            emit(bit->second.buf, kind, translate_window(bit->second, idx),
+                 false, bit->second.local);
         }
     }
 
@@ -156,16 +171,7 @@ struct Collector
             expr(i, env);
             idx.push_back(apply_env_expr(i, env));
         }
-        auto bit = env.buffers.find(name);
-        if (bit != env.buffers.end()) {
-            if (bit->second.opaque)
-                emit(bit->second.buf, kind, {}, true);
-            else
-                emit(bit->second.buf, kind,
-                     translate_window(bit->second, idx), false);
-            return;
-        }
-        emit(name, kind, std::move(idx), false);
+        access(name, kind, std::move(idx), env);
     }
 
     void call(const StmtPtr& s, const Env& env)
@@ -199,6 +205,7 @@ struct Collector
                 if (bit != env.buffers.end() && !bit->second.opaque) {
                     // Window of a window: compose.
                     b.buf = bit->second.buf;
+                    b.local = bit->second.local;
                     std::vector<WindowDim> composed;
                     size_t k = 0;
                     for (const auto& outer : bit->second.window) {
@@ -222,8 +229,10 @@ struct Collector
                 } else if (bit != env.buffers.end()) {
                     b.buf = bit->second.buf;
                     b.opaque = true;
+                    b.local = bit->second.local;
                 } else {
                     b.buf = actual->name();
+                    b.local = env.locals.count(b.buf) != 0;
                     for (const auto& wd : actual->window_dims()) {
                         WindowDim nd;
                         nd.lo = apply_env_expr(wd.lo, env);
@@ -245,6 +254,7 @@ struct Collector
                     b = bit->second;
                 } else {
                     b.buf = actual->name();
+                    b.local = env.locals.count(b.buf) != 0;
                     for (size_t d = 0; d < f.dims.size(); d++) {
                         WindowDim nd;
                         nd.lo = idx_const(0);
@@ -257,6 +267,7 @@ struct Collector
                 b.buf = actual->kind() == ExprKind::Read ? actual->name()
                                                          : "$unknown";
                 b.opaque = true;
+                b.local = env.locals.count(b.buf) != 0;
             }
             inner.buffers[f.name] = std::move(b);
         }
@@ -315,7 +326,7 @@ struct Collector
           case StmtKind::WriteConfig:
             expr(s->rhs(), env);
             emit("$cfg:" + s->name() + "." + s->field(), AccessKind::Write,
-                 {}, false);
+                 {}, false, false);
             return;
           case StmtKind::WindowDecl: {
             // Bind the window for following statements — handled by
@@ -332,33 +343,35 @@ struct Collector
         throw InternalError("unknown stmt kind in effects");
     }
 
+    /** A declaration binds its name for the rest of the list. */
     void block(const std::vector<StmtPtr>& b, const Env& env)
     {
         Env cur = env;
         for (const auto& s : b) {
             stmt(s, cur);
-            if (s->kind() == StmtKind::WindowDecl) {
+            if (s->kind() == StmtKind::Alloc) {
+                // A new buffer: no window or scalar of that name applies.
+                cur.buffers.erase(s->name());
+                cur.scalars.erase(s->name());
+                cur.locals.insert(s->name());
+            } else if (s->kind() == StmtKind::WindowDecl) {
                 const ExprPtr& w = s->rhs();
                 BufBinding bind;
                 auto bit = cur.buffers.find(w->name());
-                if (bit != cur.buffers.end() && bit->second.opaque) {
+                if (bit != cur.buffers.end()) {
+                    // Conservative: a window of a window is opaque.
                     bind.buf = bit->second.buf;
                     bind.opaque = true;
+                    bind.local = bit->second.local;
                 } else {
-                    bind.buf = (bit != cur.buffers.end()) ? bit->second.buf
-                                                          : w->name();
-                    // Conservative: treat re-windowing of windows as
-                    // opaque unless direct.
-                    if (bit != cur.buffers.end()) {
-                        bind.opaque = true;
-                    } else {
-                        for (const auto& wd : w->window_dims()) {
-                            WindowDim nd;
-                            nd.lo = apply_env_expr(wd.lo, cur);
-                            if (!wd.is_point())
-                                nd.hi = apply_env_expr(wd.hi, cur);
-                            bind.window.push_back(nd);
-                        }
+                    bind.buf = w->name();
+                    bind.local = cur.locals.count(w->name()) != 0;
+                    for (const auto& wd : w->window_dims()) {
+                        WindowDim nd;
+                        nd.lo = apply_env_expr(wd.lo, cur);
+                        if (!wd.is_point())
+                            nd.hi = apply_env_expr(wd.hi, cur);
+                        bind.window.push_back(nd);
                     }
                 }
                 cur.buffers[s->name()] = std::move(bind);
@@ -514,21 +527,6 @@ collect_accesses_block(const std::vector<StmtPtr>& b)
     return std::move(c.out);
 }
 
-std::vector<std::string>
-collect_allocs(const std::vector<StmtPtr>& b)
-{
-    std::vector<std::string> out;
-    for (const auto& s : b) {
-        if (s->kind() == StmtKind::Alloc)
-            out.push_back(s->name());
-        auto inner = collect_allocs(s->body());
-        out.insert(out.end(), inner.begin(), inner.end());
-        auto inner2 = collect_allocs(s->orelse());
-        out.insert(out.end(), inner2.begin(), inner2.end());
-    }
-    return out;
-}
-
 bool
 accesses_conflict(const Context& ctx, const Access& a, const Access& b)
 {
@@ -587,24 +585,6 @@ stmts_commute(const Context& ctx, const StmtPtr& s1, const StmtPtr& s2,
                 if (why) {
                     *why = "conflicting accesses to '" + a.buf + "'";
                 }
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-bool
-blocks_commute(const Context& ctx, const std::vector<StmtPtr>& b1,
-               const std::vector<StmtPtr>& b2, std::string* why)
-{
-    auto a1 = collect_accesses_block(b1);
-    auto a2 = collect_accesses_block(b2);
-    for (const auto& a : a1) {
-        for (const auto& b : a2) {
-            if (accesses_conflict(ctx, a, b)) {
-                if (why)
-                    *why = "conflicting accesses to '" + a.buf + "'";
                 return false;
             }
         }
@@ -677,18 +657,17 @@ cross_iteration_conflicts(const Context& ctx, const StmtPtr& loop,
     };
     auto accs = collect_accesses_block(loop->body());
     const std::string& iter = loop->iter();
-    // Buffers allocated inside the body are private per iteration and
-    // carry nothing across iterations.
-    auto locals = collect_allocs(loop->body());
+    // A buffer declared in the body is private to one iteration and
+    // carries nothing across iterations.
     for (const auto& a : accs) {
         if (out == nullptr && found)
             break;
-        if (std::find(locals.begin(), locals.end(), a.buf) != locals.end())
+        if (a.local)
             continue;
         for (const auto& b : accs) {
             if (out == nullptr && found)
                 break;
-            if (a.buf != b.buf)
+            if (a.buf != b.buf || b.local)
                 continue;
             if (a.kind == AccessKind::Read && b.kind == AccessKind::Read)
                 continue;

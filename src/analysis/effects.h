@@ -35,6 +35,12 @@ struct Access
     std::vector<ExprPtr> idx;
     /** If set, indices are unknown: treat as touching everything. */
     bool whole_buffer = false;
+    /** `buf` is declared inside the collected subtree (by an Alloc met
+     *  earlier in an enclosing list there, or in a callee's body), so
+     *  it is not the buffer of that name outside it. The cross-iteration
+     *  checks skip such accesses; every other consumer compares by
+     *  name, which can only add conflicts (DESIGN.md §12). */
+    bool local = false;
     /** Loop binders introduced below the collection root. */
     std::vector<LoopBinder> binders;
     /** Guards (if-conditions) on the access. */
@@ -82,9 +88,6 @@ std::vector<Access> collect_accesses(const StmtPtr& s);
 /** Collect all accesses in a block. */
 std::vector<Access> collect_accesses_block(const std::vector<StmtPtr>& b);
 
-/** Names allocated by Alloc statements within `b` (recursively). */
-std::vector<std::string> collect_allocs(const std::vector<StmtPtr>& b);
-
 /**
  * Can the two accesses refer to the same memory cell in a way that
  * matters for ordering? Read/Read never conflicts; Reduce/Reduce on the
@@ -99,11 +102,6 @@ bool accesses_conflict(const Context& ctx, const Access& a, const Access& b);
  */
 bool stmts_commute(const Context& ctx, const StmtPtr& s1, const StmtPtr& s2,
                    std::string* why = nullptr);
-
-/** Do two blocks commute? */
-bool blocks_commute(const Context& ctx, const std::vector<StmtPtr>& b1,
-                    const std::vector<StmtPtr>& b2,
-                    std::string* why = nullptr);
 
 /**
  * Do different iterations of `loop` commute (no loop-carried

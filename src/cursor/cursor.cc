@@ -26,13 +26,6 @@ Cursor::require_kind(CursorKind k, const char* what) const
         throw InvalidCursorError(std::string("cursor is not a ") + what);
 }
 
-bool
-Cursor::is_stmt() const
-{
-    require_kind(CursorKind::Node, "node");
-    return std::holds_alternative<StmtPtr>(node_at(proc_, loc_.path));
-}
-
 StmtPtr
 Cursor::stmt() const
 {

@@ -67,9 +67,6 @@ class Cursor
 
     // -- Resolution ------------------------------------------------------
 
-    /** True if this is a Node cursor denoting a statement. */
-    bool is_stmt() const;
-
     /** The statement this node cursor denotes. */
     StmtPtr stmt() const;
 

@@ -62,18 +62,6 @@ fwd_identity()
 }
 
 ForwardFn
-fwd_compose(ForwardFn a, ForwardFn b)
-{
-    return [a = std::move(a), b = std::move(b)](const CursorLoc& l)
-               -> std::optional<CursorLoc> {
-        auto m = a(l);
-        if (!m)
-            return std::nullopt;
-        return b(*m);
-    };
-}
-
-ForwardFn
 fwd_invalidate_below(Path prefix)
 {
     return [prefix = std::move(prefix)](const CursorLoc& l)

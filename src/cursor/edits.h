@@ -21,9 +21,6 @@ namespace exo2 {
 /** Identity forwarding (e.g. annotations that do not move code). */
 ForwardFn fwd_identity();
 
-/** Sequential composition: apply `a`, then `b`. */
-ForwardFn fwd_compose(ForwardFn a, ForwardFn b);
-
 /**
  * Forwarding for an in-place rewrite of the subtree at `prefix` that
  * does not preserve its internal structure: the node itself stays

@@ -359,11 +359,12 @@ Parser::parse_stmt()
     next();
     ExprPtr rhs = parse_expr();
     expect(TokKind::Newline, "newline");
-    VarInfo info = lenient_ && name == "_" ? VarInfo{} : lookup(name);
+    // A window statement declares `name`, so it may be fresh.
     if (!is_reduce && idx.empty() && rhs->kind() == ExprKind::Window) {
         declare(name, {rhs->type(), true});
         return Stmt::make_window_decl(name, rhs, rhs->type());
     }
+    VarInfo info = lenient_ && name == "_" ? VarInfo{} : lookup(name);
     if (is_reduce) {
         return Stmt::make_reduce(name, std::move(idx), rhs, info.type);
     }

@@ -1,29 +1,20 @@
 #include "src/inspect/bounds.h"
 
-#include <functional>
-#include <map>
-
 #include "src/analysis/context.h"
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
 #include "src/ir/printer.h"
+#include "src/primitives/common.h"
 
 namespace exo2 {
 namespace inspect {
 
 namespace {
 
-/** A bound iterator with its range at the point of an access. */
-struct Binder
-{
-    std::string name;
-    ExprPtr lo;
-    ExprPtr hi;
-};
-
 /** Substitute each bound iterator by the extreme giving min (or max). */
 ExprPtr
-extreme(const ExprPtr& idx, const std::vector<Binder>& binders, bool want_max)
+extreme(const ExprPtr& idx, const std::vector<LoopBinder>& binders,
+        bool want_max)
 {
     Affine a = to_affine(idx);
     ExprPtr out = idx;
@@ -59,78 +50,54 @@ infer(const ProcPtr& p, const Cursor& scope, const std::string& buf,
         std::vector<ExprPtr> hi;  // exclusive
     };
     std::vector<Acc> accs;
-    std::vector<Binder> binders;
-
-    std::function<void(const std::vector<ExprPtr>&)> record =
-        [&](const std::vector<ExprPtr>& idx) {
-            Acc a;
-            for (const auto& e : idx) {
-                a.lo.push_back(extreme(e, binders, /*want_max=*/false));
-                a.hi.push_back(extreme(e, binders, /*want_max=*/true) +
-                               idx_const(1));
-            }
-            accs.push_back(std::move(a));
-        };
-
-    std::function<void(const ExprPtr&)> scan_expr;
-    std::function<void(const StmtPtr&)> scan;
-    scan_expr = [&](const ExprPtr& e) {
-        if (!e)
+    std::vector<LoopBinder> binders;  // bound inside the scope
+    // Reductions both read and write.
+    auto record = [&](const std::vector<ExprPtr>& idx, AccessKind kind) {
+        if ((filter == Filter::Reads && kind == AccessKind::Write) ||
+            (filter == Filter::Writes && kind == AccessKind::Read)) {
             return;
-        if (e->kind() == ExprKind::Read && e->name() == buf &&
-            !e->idx().empty() && filter != Filter::Writes) {
-            record(e->idx());
         }
-        if (e->kind() == ExprKind::Window && e->name() == buf) {
-            throw SchedulingError("infer_bounds: windowed access");
+        if (idx.empty()) {
+            throw SchedulingError("infer_bounds: whole-buffer access to '" +
+                                  buf + "'");
         }
-        for (const auto& k : e->children())
-            scan_expr(k);
+        Acc a;
+        for (const auto& e : idx) {
+            a.lo.push_back(extreme(e, binders, /*want_max=*/false));
+            a.hi.push_back(extreme(e, binders, /*want_max=*/true) +
+                           idx_const(1));
+        }
+        accs.push_back(std::move(a));
     };
-    scan = [&](const StmtPtr& s) {
-        switch (s->kind()) {
-          case StmtKind::Assign:
-          case StmtKind::Reduce:
-            if (s->name() == buf && filter != Filter::Reads)
-                record(s->idx());
-            if (s->name() == buf && s->kind() == StmtKind::Reduce &&
-                filter == Filter::Reads) {
-                record(s->idx());  // reductions also read
-            }
-            for (const auto& i : s->idx())
-                scan_expr(i);
-            scan_expr(s->rhs());
-            return;
-          case StmtKind::For: {
-            binders.push_back({s->iter(), s->lo(), s->hi()});
-            for (const auto& c : s->body())
-                scan(c);
-            binders.pop_back();
-            return;
-          }
-          case StmtKind::If: {
-            for (const auto& c : s->body())
-                scan(c);
-            for (const auto& c : s->orelse())
-                scan(c);
-            return;
-          }
-          default:
-            for (const auto& c : s->body())
-                scan(c);
-            for (const auto& c : s->orelse())
-                scan(c);
-            return;
+    auto descend = [&](const StmtPtr& s, PathLabel,
+                       const std::function<bool()>& walk) {
+        if (s->kind() != StmtKind::For)
+            return walk();
+        binders.push_back({s->iter(), s->lo(), s->hi()});
+        walk();
+        binders.pop_back();
+        return false;
+    };
+    // A declaration of `buf` at the top of a list of the scope declares
+    // the buffer being sized; one nested deeper is another buffer.
+    auto visit = [&](const std::vector<StmtPtr>& b) {
+        size_t from = 0;
+        for (size_t i = 0; i <= b.size(); i++) {
+            if (i < b.size() && !declares(b[i], buf))
+                continue;
+            visit_buffer_accesses(
+                std::vector<StmtPtr>(b.begin() + static_cast<long>(from),
+                                     b.begin() + static_cast<long>(i)),
+                buf, record, descend);
+            from = i + 1;
         }
     };
     // Bounds over the scope's body: the scope iterator itself is free.
     if (root->kind() == StmtKind::For || root->kind() == StmtKind::If) {
-        for (const auto& c : root->body())
-            scan(c);
-        for (const auto& c : root->orelse())
-            scan(c);
+        visit(root->body());
+        visit(root->orelse());
     } else {
-        scan(root);
+        visit({root});
     }
 
     if (accs.empty()) {

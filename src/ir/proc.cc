@@ -1,8 +1,10 @@
 #include "src/ir/proc.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
+#include "src/ir/builder.h"
 #include "src/ir/errors.h"
 #include "src/ir/interner.h"
 
@@ -116,6 +118,52 @@ bool
 procs_equivalent(const ProcPtr& a, const ProcPtr& b)
 {
     return a && b && a->root_uid() == b->root_uid();
+}
+
+Binding
+binding_at(const ProcPtr& p, const Path& path, const std::string& name)
+{
+    // Walk down the path; a binding met deeper replaces one met above.
+    Binding found;
+    found.arg = p->find_arg(name);
+    const std::vector<StmtPtr>* list = &p->body_stmts();
+    for (size_t d = 0; d < path.size(); d++) {
+        size_t at = static_cast<size_t>(path[d].index);
+        for (size_t j = std::min(at, list->size()); j-- > 0;) {
+            if (declares((*list)[j], name)) {
+                found = Binding{nullptr, (*list)[j]};
+                break;
+            }
+        }
+        bool into_body = d + 1 < path.size() && at < list->size() &&
+                         (path[d + 1].label == PathLabel::Body ||
+                          path[d + 1].label == PathLabel::Orelse);
+        if (!into_body)
+            break;
+        const StmtPtr& s = (*list)[at];
+        if (s->kind() == StmtKind::For && s->iter() == name)
+            found = Binding{nullptr, s};
+        list = path[d + 1].label == PathLabel::Body ? &s->body()
+                                                    : &s->orelse();
+    }
+    return found;
+}
+
+std::vector<ExprPtr>
+binding_dims(const Binding& b)
+{
+    if (b.arg)
+        return b.arg->dims;
+    if (!b.decl || b.decl->kind() == StmtKind::For)
+        return {};
+    if (b.decl->kind() == StmtKind::Alloc)
+        return b.decl->dims();
+    std::vector<ExprPtr> extents;
+    for (const WindowDim& wd : b.decl->rhs()->window_dims()) {
+        if (!wd.is_point())
+            extents.push_back(wd.hi - wd.lo);
+    }
+    return extents;
 }
 
 uint64_t

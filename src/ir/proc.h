@@ -207,6 +207,40 @@ class Proc : public std::enable_shared_from_this<Proc>
 bool procs_equivalent(const ProcPtr& a, const ProcPtr& b);
 
 /**
+ * The declaration a use of a name refers to: a proc argument, or an
+ * Alloc, WindowDecl or For. Empty when the name is unbound.
+ */
+struct Binding
+{
+    const ProcArg* arg = nullptr;  ///< the argument, if it is one
+    StmtPtr decl;                  ///< the declaring statement otherwise
+
+    explicit operator bool() const { return arg != nullptr || decl; }
+};
+
+/**
+ * @name The lookup half of the scope rule (ir/stmt.h, DESIGN.md §12)
+ * @{
+ */
+
+/**
+ * The binding a use of `name` in the statement at `path` refers to,
+ * searched innermost first: a For on the path whose iterator is
+ * `name`, then the last declaration of `name` earlier in an enclosing
+ * list, then the argument. The statement's own dims, window or loop
+ * bounds see the binding outside it; `path` may end in a gap.
+ */
+Binding binding_at(const ProcPtr& p, const Path& path,
+                   const std::string& name);
+
+/** The shape of a buffer binding: an argument's or Alloc's dims, or a
+ *  WindowDecl's interval extents (`hi - lo`; points take no dim).
+ *  Empty for a scalar and for a loop iterator. */
+std::vector<ExprPtr> binding_dims(const Binding& b);
+
+/** @} */
+
+/**
  * 64-bit structural digest of a procedure: signature (argument names,
  * types, dims, memories), assertions, instruction metadata, and body.
  * Built from the interned nodes' cached hashes, so it is O(signature +

@@ -227,7 +227,6 @@ EXO2_STMT_WITH(idx, std::vector<ExprPtr>, idx)
 EXO2_STMT_WITH(dims, std::vector<ExprPtr>, dims)
 EXO2_STMT_WITH(args, std::vector<ExprPtr>, args)
 EXO2_STMT_WITH(name, std::string, name)
-EXO2_STMT_WITH(iter, std::string, iter)
 EXO2_STMT_WITH(mem, MemoryPtr, mem)
 EXO2_STMT_WITH(callee, ProcPtr, callee)
 
@@ -400,6 +399,27 @@ any_block_in_scope(const std::vector<StmtPtr>& b, const std::string& name,
             return false;  // the rest of the list sees the re-declaration
     }
     return false;
+}
+
+bool
+block_uses_unshadowed(const std::vector<StmtPtr>& b, const std::string& name)
+{
+    return any_block_in_scope(b, name, [&](const StmtPtr& st) {
+        return stmt_uses_here(st, name);
+    });
+}
+
+std::string
+captured_name(const std::vector<StmtPtr>& a, const std::vector<StmtPtr>& b)
+{
+    for (const StmtPtr& s : a) {
+        if ((s->kind() == StmtKind::Alloc ||
+             s->kind() == StmtKind::WindowDecl) &&
+            block_uses_unshadowed(b, s->name())) {
+            return s->name();
+        }
+    }
+    return "";
 }
 
 StmtPtr

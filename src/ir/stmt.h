@@ -168,7 +168,6 @@ class Stmt
     StmtPtr with_dims(std::vector<ExprPtr> dims) const;
     StmtPtr with_args(std::vector<ExprPtr> args) const;
     StmtPtr with_name(std::string name) const;
-    StmtPtr with_iter(std::string iter) const;
     StmtPtr with_mem(MemoryPtr mem) const;
     StmtPtr with_type(ScalarType t) const;
     StmtPtr with_loop_mode(LoopMode mode) const;
@@ -347,6 +346,25 @@ bool any_in_scope(const StmtPtr& s, const std::string& name,
 bool any_block_in_scope(const std::vector<StmtPtr>& b,
                         const std::string& name, const StmtPredFn& pred,
                         const ScopeDescendFn& descend = nullptr);
+
+/**
+ * Whether `b` uses `name` from outside: a statement in the scope of a
+ * binding of `name` visible at the start of `b` reads, windows or
+ * writes it (`stmt_uses_here`). A use after a re-declaration, or under
+ * a For iterator of that name, refers to another binder, and a bare
+ * re-declaration is not a use.
+ */
+bool block_uses_unshadowed(const std::vector<StmtPtr>& b,
+                           const std::string& name);
+
+/**
+ * The capture check: the name of a top-level Alloc or WindowDecl of `a`
+ * that `b` uses from outside, or "" when there is none. Placing `b`
+ * after `a` in one list would bind that use to `a`'s declaration.
+ * Every primitive that splices one list after another calls it.
+ */
+std::string captured_name(const std::vector<StmtPtr>& a,
+                          const std::vector<StmtPtr>& b);
 
 /** @} */
 

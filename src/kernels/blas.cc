@@ -4,6 +4,7 @@
 
 #include "src/frontend/parser.h"
 #include "src/ir/errors.h"
+#include "src/kernels/image.h"
 
 namespace exo2 {
 namespace kernels {
@@ -436,6 +437,18 @@ sgemm()
 {
     static ProcPtr p = parse_proc(kSgemm);
     return p;
+}
+
+ProcPtr
+resolve_kernel(const std::string& name)
+{
+    if (name == "sgemm")
+        return sgemm();
+    if (name == "blur")
+        return blur();
+    if (name == "unsharp")
+        return unsharp();
+    return find_kernel(name).proc;
 }
 
 }  // namespace kernels

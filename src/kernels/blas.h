@@ -45,6 +45,10 @@ const KernelDef& find_kernel(const std::string& name);
 /** Outer-product SGEMM (Appendix C starting point). */
 ProcPtr sgemm();
 
+/** Any kernel by name: the registry (`find_kernel`) plus the demo
+ *  kernels sgemm, blur and unsharp. Throws SchedulingError otherwise. */
+ProcPtr resolve_kernel(const std::string& name);
+
 }  // namespace kernels
 }  // namespace exo2
 

@@ -1,5 +1,3 @@
-#include <map>
-
 #include "src/analysis/context.h"
 #include "src/ir/builder.h"
 #include "src/ir/printer.h"
@@ -11,13 +9,14 @@
  * admissible sizes (DESIGN.md §9).
  *
  * The walker descends the statement tree, growing a Context (asserts,
- * size-arg nonnegativity, enclosing loop ranges, if-guards) and a shape
- * environment (arg dims, alloc dims, window extents). Window
- * declarations are checked against their base buffer and then accessed
- * *compositionally*: later accesses through the window are proved
- * against the window's own extents, which is sound given the window
- * itself was checked — this keeps windows-of-windows precise where the
- * effect collector goes opaque.
+ * size-arg nonnegativity, enclosing loop ranges, if-guards). Each
+ * access is checked against the shape of the declaration its name is
+ * bound to there (`binding_at`, `binding_dims`: arg dims, alloc dims,
+ * window extents). Window declarations are checked against their base
+ * buffer and then accessed *compositionally*: later accesses through
+ * the window are proved against the window's own extents, which is
+ * sound given the window itself was checked — this keeps
+ * windows-of-windows precise where the effect collector goes opaque.
  *
  * Severity discipline: an access is EXL002 (Error) only when the facts
  * *imply* the index escapes on every valuation and the program point is
@@ -47,10 +46,6 @@ class BoundsWalker
 
     void run()
     {
-        for (const auto& a : p_->args()) {
-            if (!a.dims.empty())
-                shapes_[a.name] = a.dims;
-        }
         Context ctx = Context::at(p_, {});
         Path path;
         block(ctx, p_->body_stmts(), PathLabel::Body, path);
@@ -110,11 +105,23 @@ class BoundsWalker
              "establishing the bound");
     }
 
+    /** The dims of the buffer `buf` names in the statement at `path`;
+     *  false when it names no buffer there. */
+    bool shape_at(const Path& path, const std::string& buf,
+                  std::vector<ExprPtr>* dims) const
+    {
+        Binding b = binding_at(p_, path, buf);
+        if (!b || (b.decl && b.decl->kind() == StmtKind::For))
+            return false;
+        *dims = binding_dims(b);
+        return true;
+    }
+
     void check_access(Context& ctx, const Path& path, const std::string& buf,
                      const std::vector<ExprPtr>& idx, const char* kind)
     {
-        auto it = shapes_.find(buf);
-        if (it == shapes_.end()) {
+        std::vector<ExprPtr> dims;
+        if (!shape_at(path, buf, &dims)) {
             if (!idx.empty()) {
                 rep_->obligations++;
                 diag(path, "EXL003", Severity::Warn, buf,
@@ -124,7 +131,6 @@ class BoundsWalker
             }
             return;
         }
-        const auto& dims = it->second;
         if (idx.empty())
             return;  // whole-buffer mention (window/call argument)
         if (idx.size() != dims.size()) {
@@ -147,22 +153,17 @@ class BoundsWalker
             check_range(ctx, path, buf, idx[d], dims[d], what);
     }
 
-    /** Check a window expression against its base and return the
-     *  window's own shape (extents); null optional when unknowable. */
-    std::vector<ExprPtr> check_window(Context& ctx, const Path& path,
-                                      const ExprPtr& w, bool* known)
+    /** Check a window expression against its base. */
+    void check_window(Context& ctx, const Path& path, const ExprPtr& w)
     {
-        *known = false;
         const std::string& base = w->name();
-        auto it = shapes_.find(base);
-        std::vector<ExprPtr> extents;
-        if (it == shapes_.end()) {
+        std::vector<ExprPtr> dims;
+        if (!shape_at(path, base, &dims)) {
             rep_->obligations++;
             diag(path, "EXL003", Severity::Warn, base,
                  "window of '" + base + "' with unknown shape", "");
-            return extents;
+            return;
         }
-        const auto& dims = it->second;
         if (w->window_dims().size() != dims.size()) {
             rep_->obligations++;
             diag(path, "EXL003", Severity::Warn, base,
@@ -170,7 +171,7 @@ class BoundsWalker
                      std::to_string(w->window_dims().size()) +
                      " dims but base has " + std::to_string(dims.size()),
                  "");
-            return extents;
+            return;
         }
         for (size_t d = 0; d < dims.size(); d++) {
             const WindowDim& wd = w->window_dims()[d];
@@ -199,11 +200,8 @@ class BoundsWalker
                          "guard the window or add an assert() "
                          "precondition establishing the bound");
                 }
-                extents.push_back(wd.hi - wd.lo);
             }
         }
-        *known = true;
-        return extents;
     }
 
     void expr(Context& ctx, const Path& path, const ExprPtr& e)
@@ -216,11 +214,9 @@ class BoundsWalker
             for (const auto& i : e->idx())
                 expr(ctx, path, i);
             return;
-          case ExprKind::Window: {
-            bool known = false;
-            check_window(ctx, path, e, &known);
+          case ExprKind::Window:
+            check_window(ctx, path, e);
             return;
-          }
           case ExprKind::Stride:
           case ExprKind::ReadConfig:
             return;
@@ -257,7 +253,6 @@ class BoundsWalker
                          "add an assert() precondition");
                 }
             }
-            shapes_[s->name()] = s->dims();
             return;
           }
           case StmtKind::For: {
@@ -292,13 +287,9 @@ class BoundsWalker
           case StmtKind::WriteConfig:
             expr(ctx, path, s->rhs());
             return;
-          case StmtKind::WindowDecl: {
-            bool known = false;
-            auto extents = check_window(ctx, path, s->rhs(), &known);
-            if (known)
-                shapes_[s->name()] = std::move(extents);
+          case StmtKind::WindowDecl:
+            check_window(ctx, path, s->rhs());
             return;
-          }
           case StmtKind::Pass:
             return;
         }
@@ -316,7 +307,6 @@ class BoundsWalker
 
     const ProcPtr& p_;
     LintReport* rep_;
-    std::map<std::string, std::vector<ExprPtr>> shapes_;
 };
 
 class BoundsPass : public LintPass

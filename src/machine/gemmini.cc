@@ -121,17 +121,4 @@ gemmini_instrs()
     return g;
 }
 
-std::vector<std::pair<ProcPtr, ProcPtr>>
-gemmini_instr_pairs()
-{
-    const GemminiInstrSet& g = gemmini_instrs();
-    return {
-        {g.do_ld_block_id1, g.config_ld_id1},
-        {g.do_ld_block_id2, g.config_ld_id2},
-        {g.do_matmul_acc, g.config_matmul},
-        {g.do_zero_acc, g.config_zero},
-        {g.do_st_acc, g.config_st_acc},
-    };
-}
-
 }  // namespace exo2

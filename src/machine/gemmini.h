@@ -49,9 +49,6 @@ struct GemminiInstrSet
 /** The singleton Gemmini instruction set. */
 const GemminiInstrSet& gemmini_instrs();
 
-/** Pairs (base, _v2) used by replace_and_inline (Appendix B). */
-std::vector<std::pair<ProcPtr, ProcPtr>> gemmini_instr_pairs();
-
 }  // namespace exo2
 
 #endif  // EXO2_MACHINE_GEMMINI_H_

@@ -30,13 +30,6 @@ set_memory(const ProcPtr& p, const Cursor& alloc, const MemoryPtr& mem)
 }
 
 ProcPtr
-set_memory(const ProcPtr& p, const std::string& buf_name,
-           const MemoryPtr& mem)
-{
-    return set_memory(p, p->find_alloc(buf_name), mem);
-}
-
-ProcPtr
 set_precision(const ProcPtr& p, const Cursor& alloc, ScalarType t)
 {
     ScheduleStats::count_rewrite("set_precision");

@@ -19,8 +19,6 @@ namespace exo2 {
 /** Change the memory space of an allocation. */
 ProcPtr set_memory(const ProcPtr& p, const Cursor& alloc,
                    const MemoryPtr& mem);
-ProcPtr set_memory(const ProcPtr& p, const std::string& buf_name,
-                   const MemoryPtr& mem);
 
 /** Change the element precision of an allocation. */
 ProcPtr set_precision(const ProcPtr& p, const Cursor& alloc, ScalarType t);

@@ -402,12 +402,6 @@ divide_dim(const ProcPtr& p, const Cursor& alloc, int dim, int64_t c)
 }
 
 ProcPtr
-divide_dim(const ProcPtr& p, const std::string& buf_name, int dim, int64_t c)
-{
-    return divide_dim(p, p->find_alloc(buf_name), dim, c);
-}
-
-ProcPtr
 mult_dim(const ProcPtr& p, const Cursor& alloc, int dim)
 {
     ScheduleStats::count_rewrite("mult_dim");
@@ -658,14 +652,10 @@ stage_mem(const ProcPtr& p, const Cursor& block, const std::string& buf,
     std::vector<StmtPtr> body(list.begin() + blo, list.begin() + bhi);
 
     // Element type of the staged buffer.
-    ScalarType elem = ScalarType::F32;
-    if (const ProcArg* arg = p->find_arg(buf)) {
-        elem = arg->type;
-    } else {
-        // Search for the alloc.
-        Cursor alloc_c = p->find_alloc(buf);
-        elem = alloc_c.stmt()->type();
-    }
+    Binding staged = binding_at(p, bc.loc().path, buf);
+    require(staged && !(staged.decl && staged.decl->kind() == StmtKind::For),
+            "stage_mem: '" + buf + "' is not a buffer at the block");
+    ScalarType elem = staged.arg ? staged.arg->type : staged.decl->type();
 
     // Interval dims become tmp dimensions.
     std::vector<ExprPtr> extents;

@@ -42,8 +42,6 @@ ProcPtr rearrange_dim(const ProcPtr& p, const Cursor& alloc,
 /** Split dimension `dim` by constant `c` into (dim/c, c). */
 ProcPtr divide_dim(const ProcPtr& p, const Cursor& alloc, int dim,
                    int64_t c);
-ProcPtr divide_dim(const ProcPtr& p, const std::string& buf_name, int dim,
-                   int64_t c);
 
 /** Fuse dimensions `dim` and `dim+1` (the latter constant-sized). */
 ProcPtr mult_dim(const ProcPtr& p, const Cursor& alloc, int dim);

@@ -59,6 +59,43 @@ require(bool cond, const std::string& msg)
         throw SchedulingError(msg);
 }
 
+void
+require_evaluable_at(const ProcPtr& p, const Path& path, const ExprPtr& e,
+                     const std::string& who)
+{
+    Context ctx = Context::at(p, path);
+    std::function<void(const ExprPtr&)> check = [&](const ExprPtr& x) {
+        if (x->kind() == ExprKind::Read || x->kind() == ExprKind::Window ||
+            x->kind() == ExprKind::Stride) {
+            Binding b = binding_at(p, path, x->name());
+            require(static_cast<bool>(b), who + ": '" + x->name() +
+                                              "' is not bound at the "
+                                              "insertion point");
+            std::vector<ExprPtr> dims;
+            if (x->kind() == ExprKind::Read)
+                dims = binding_dims(b);
+            require(x->kind() != ExprKind::Read ||
+                        dims.size() == x->idx().size(),
+                    who + ": '" + x->name() + "' is read with " +
+                        std::to_string(x->idx().size()) +
+                        " indices at the insertion point, where it has " +
+                        std::to_string(dims.size()) + " dims");
+            for (size_t d = 0; d < dims.size(); d++) {
+                require(ctx.prove_ge0(x->idx()[d]) &&
+                            ctx.prove_lt(x->idx()[d], dims[d]),
+                        who + ": access to '" + x->name() +
+                            "' not provably in bounds at the insertion "
+                            "point");
+            }
+        }
+        any_child(x, [&](const ExprPtr& k) {
+            check(k);
+            return false;
+        });
+    };
+    check(e);
+}
+
 namespace {
 
 void
@@ -251,32 +288,19 @@ block_binds_name(const std::vector<StmtPtr>& b, const std::string& name)
     return false;
 }
 
-bool
-block_uses_unshadowed(const std::vector<StmtPtr>& b, const std::string& name)
-{
-    return any_block_in_scope(b, name, [&](const StmtPtr& st) {
-        return stmt_uses_here(st, name);
-    });
-}
-
 void
 require_binders_do_not_escape(const ProcPtr& p, const ListAddr& addr,
                               int lo, int hi, const std::string& who)
 {
     const auto& list = stmt_list_at(p, addr);
-    for (int i = lo; i < hi && i < static_cast<int>(list.size()); i++) {
-        const StmtPtr& s = list[i];
-        if (s->kind() != StmtKind::Alloc &&
-            s->kind() != StmtKind::WindowDecl) {
-            continue;
-        }
-        for (size_t j = static_cast<size_t>(hi); j < list.size(); j++) {
-            require(!stmt_uses(list[j], s->name()),
-                    who + ": '" + s->name() +
-                        "' is declared inside the rewritten range but "
-                        "used after it (the new scope would capture it)");
-        }
-    }
+    long mid = std::min<long>(hi, static_cast<long>(list.size()));
+    std::string name = captured_name(
+        std::vector<StmtPtr>(list.begin() + lo, list.begin() + mid),
+        std::vector<StmtPtr>(list.begin() + mid, list.end()));
+    require(name.empty(), who + ": '" + name +
+                              "' is declared inside the rewritten range "
+                              "but used after it (the new scope would "
+                              "capture it)");
 }
 
 ForwardFn
@@ -432,12 +456,11 @@ rename_buffer_block(const std::vector<StmtPtr>& b, const std::string& old_name,
 namespace {
 
 void
-visit_expr_accesses(const Context& ctx, const ExprPtr& e,
-                    const std::string& name, const AccessVisitFn& visit)
+visit_expr_accesses(const ExprPtr& e, const std::string& name,
+                    const AccessFn& visit)
 {
-    if (e->kind() == ExprKind::Read && e->name() == name) {
-        visit(ctx, e->idx());
-    }
+    if (e->kind() == ExprKind::Read && e->name() == name)
+        visit(e->idx(), AccessKind::Read);
     if (e->kind() == ExprKind::Window && e->name() == name) {
         // Report lo and hi-1 for each interval dim.
         std::vector<ExprPtr> los;
@@ -446,11 +469,11 @@ visit_expr_accesses(const Context& ctx, const ExprPtr& e,
             los.push_back(d.lo);
             his.push_back(d.hi ? d.hi - idx_const(1) : d.lo);
         }
-        visit(ctx, los);
-        visit(ctx, his);
+        visit(los, AccessKind::Read);
+        visit(his, AccessKind::Read);
     }
     any_child(e, [&](const ExprPtr& k) {
-        visit_expr_accesses(ctx, k, name, visit);
+        visit_expr_accesses(k, name, visit);
         return false;
     });
 }
@@ -458,18 +481,28 @@ visit_expr_accesses(const Context& ctx, const ExprPtr& e,
 }  // namespace
 
 void
-visit_buffer_accesses(Context& ctx, const std::vector<StmtPtr>& b,
-                      const std::string& name, const AccessVisitFn& visit)
+visit_buffer_accesses(const std::vector<StmtPtr>& b, const std::string& name,
+                      const AccessFn& visit, const ScopeDescendFn& descend)
 {
     auto here = [&](const StmtPtr& s) {
-        if (s->is_write() && s->name() == name)
-            visit(ctx, s->idx());
+        if (s->is_write() && s->name() == name) {
+            visit(s->idx(), s->kind() == StmtKind::Assign
+                                ? AccessKind::Write
+                                : AccessKind::Reduce);
+        }
         any_expr(s, [&](const ExprPtr& e) {
-            visit_expr_accesses(ctx, e, name, visit);
+            visit_expr_accesses(e, name, visit);
             return false;
         });
         return false;
     };
+    any_block_in_scope(b, name, here, descend);
+}
+
+void
+visit_buffer_accesses(Context& ctx, const std::vector<StmtPtr>& b,
+                      const std::string& name, const AccessVisitFn& visit)
+{
     auto descend = [&](const StmtPtr& s, PathLabel body,
                        const std::function<bool()>& walk) {
         Context::Scope in(ctx);
@@ -481,7 +514,10 @@ visit_buffer_accesses(Context& ctx, const std::vector<StmtPtr>& b,
             ctx.assume_not(s->cond());
         return walk();
     };
-    any_block_in_scope(b, name, here, descend);
+    visit_buffer_accesses(
+        b, name,
+        [&](const std::vector<ExprPtr>& idx, AccessKind) { visit(ctx, idx); },
+        descend);
 }
 
 void

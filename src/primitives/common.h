@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/analysis/context.h"
+#include "src/analysis/effects.h"
 #include "src/cursor/cursor.h"
 #include "src/cursor/edits.h"
 #include "src/ir/errors.h"
@@ -35,6 +36,17 @@ class ScheduleStats
 
 /** Throw SchedulingError with `msg` when `cond` is false. */
 void require(bool cond, const std::string& msg);
+
+/**
+ * Require that `e` can be evaluated at `path` (before the statement
+ * there, or at that gap) in place of where it came from: every name it
+ * reads is bound there with the rank it is indexed with, and every
+ * buffer element it reads is provably in bounds there. Primitives that
+ * insert an expression at a new point (bind_expr_block, specialize)
+ * call it.
+ */
+void require_evaluable_at(const ProcPtr& p, const Path& path,
+                          const ExprPtr& e, const std::string& who);
 
 /**
  * If the statement at `path` in `p` is a parallel loop, re-run
@@ -77,17 +89,6 @@ Cursor expect_gap_cursor(const ProcPtr& p, const Cursor& c);
  */
 void require_binders_do_not_escape(const ProcPtr& p, const ListAddr& addr,
                                    int lo, int hi, const std::string& who);
-
-/**
- * Like `stmt_uses` over `b`, but only within the scope of a binding of
- * `name` visible at the start of `b` (the scope rule, ir/stmt.h): a use
- * after a re-declaration of `name` or under a For iterator of that name
- * refers to a different binder and does not count, and a bare
- * re-declaration itself is not a use. Primitives that grow a binder's
- * scope (lift_alloc, sink_alloc) use this to detect capture.
- */
-bool block_uses_unshadowed(const std::vector<StmtPtr>& b,
-                           const std::string& name);
 
 /**
  * Whether any statement in `b` (recursively) binds `name` — as a For
@@ -133,18 +134,33 @@ std::vector<StmtPtr> rename_buffer_block(const std::vector<StmtPtr>& b,
                                          const std::string& old_name,
                                          const std::string& new_name);
 
+/** Called with an access's point indices and its kind. */
+using AccessFn =
+    std::function<void(const std::vector<ExprPtr>&, AccessKind)>;
+
+/**
+ * Visit every access (Read / Window / write target) of buffer `name`
+ * that a binding of it visible at the start of `b` reaches, outer
+ * before inner; `descend` wraps each body's walk (`any_block_in_scope`).
+ * The visitor receives point index expressions (windows are reported
+ * once per dim pair via lo and hi-1 points) and the kind: a write
+ * target is a Write or Reduce, everything else a Read, a window
+ * included, whatever is done through it. A whole-buffer call argument
+ * is a Read with no indices. Bounds inference uses it directly.
+ */
+void visit_buffer_accesses(const std::vector<StmtPtr>& b,
+                           const std::string& name, const AccessFn& visit,
+                           const ScopeDescendFn& descend);
+
 /** Called with the Context at an access and its point indices. */
 using AccessVisitFn =
     std::function<void(const Context&, const std::vector<ExprPtr>&)>;
 
 /**
- * Visit every access (Read / Window / write target) of buffer `name`
- * that a binding of it visible at the start of `b` reaches, with the
- * Context at that access point. Used by primitives that must prove
- * per-access facts (expand_dim, resize_dim, stage_mem). The visitor
- * receives point index expressions (windows are reported once per dim
- * pair via lo and hi-1 points). The walk extends `ctx` in place and
- * leaves it as it found it.
+ * The same walk with the Context at each access: the walk extends
+ * `ctx` in place (loops entered, guards assumed) and leaves it as it
+ * found it. Used by primitives that must prove per-access facts
+ * (expand_dim, resize_dim, stage_mem).
  */
 void visit_buffer_accesses(Context& ctx, const std::vector<StmtPtr>& b,
                            const std::string& name,

@@ -1,7 +1,5 @@
 #include "src/primitives/extensions.h"
 
-#include <algorithm>
-
 #include "src/analysis/effects.h"
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
@@ -137,6 +135,11 @@ split_guard(const ProcPtr& p, const Cursor& if_stmt)
     require(s->orelse().empty(), "split_guard: else clause unsupported");
     if (s->body().size() <= 1)
         return p;
+    // Each statement gets an if of its own: a declaration must not be
+    // cut off from the statements after it that use it.
+    ListAddr body{c.loc().path, PathLabel::Body};
+    for (int k = 0; k < static_cast<int>(s->body().size()); k++)
+        require_binders_do_not_escape(p, body, k, k + 1, "split_guard");
     std::vector<std::string> cond_reads;
     expr_collect_reads(s->cond(), &cond_reads);
     for (const auto& st : s->body()) {
@@ -279,68 +282,19 @@ bind_expr_block(const ProcPtr& p, const Cursor& block, const ExprPtr& expr,
                         "' read by the bound expression");
         }
     }
-    // The expression must be evaluable at the block entry: all names it
-    // reads must not be bound inside the block, by an alloc or by a
+    // The expression must mean the same at the block entry: no name it
+    // reads may be bound inside the block, by a declaration or by a
     // loop. (A read of an inner iterator passes the bounds proof below
     // vacuously when that loop sits in a provably zero-trip one.)
-    std::vector<std::string> bound = collect_allocs(body);
-    std::function<void(const std::vector<StmtPtr>&)> add_iters =
-        [&](const std::vector<StmtPtr>& b) {
-            for (const auto& st : b) {
-                if (st->kind() == StmtKind::For)
-                    bound.push_back(st->iter());
-                add_iters(st->body());
-                add_iters(st->orelse());
-            }
-        };
-    add_iters(body);
-    for (const auto& nm : bound) {
-        require(std::find(reads.begin(), reads.end(), nm) == reads.end(),
+    for (const auto& nm : reads) {
+        require(!block_binds_name(body, nm),
                 "bind_expr_block: expression reads block-local '" + nm +
                     "'");
     }
-    // Evaluating the expression at the insertion point must be safe:
-    // every buffer read must be provably in bounds there (the block's
-    // statements may be guarded; hoisting a read above a guard is only
-    // legal when the access cannot fault).
-    {
-        Path entry = bc.loc().path;  // first stmt of the block
-        Context ctx = Context::at(p, entry);
-        std::function<void(const ExprPtr&)> check =
-            [&](const ExprPtr& e) {
-                if (!e)
-                    return;
-                if (e->kind() == ExprKind::Read && !e->idx().empty()) {
-                    std::vector<ExprPtr> dims;
-                    if (const ProcArg* a = p->find_arg(e->name())) {
-                        dims = a->dims;
-                    } else {
-                        try {
-                            dims = p->find_alloc(e->name())
-                                       .stmt()
-                                       ->dims();
-                        } catch (const SchedulingError&) {
-                        }
-                    }
-                    require(dims.size() == e->idx().size(),
-                            "bind_expr_block: cannot bound access to '" +
-                                e->name() + "'");
-                    for (size_t d = 0; d < dims.size(); d++) {
-                        require(ctx.prove_ge0(e->idx()[d]) &&
-                                    ctx.prove_lt(e->idx()[d], dims[d]),
-                                "bind_expr_block: access to '" +
-                                    e->name() +
-                                    "' not provably in bounds at the "
-                                    "insertion point");
-                    }
-                }
-                any_child(e, [&](const ExprPtr& k) {
-                    check(k);
-                    return false;
-                });
-            };
-        check(expr);
-    }
+    // Evaluating it there must be safe: the block's statements may be
+    // guarded, and hoisting a read above a guard is only legal when
+    // the access cannot fault.
+    require_evaluable_at(p, bc.loc().path, expr, "bind_expr_block");
 
     ExprPtr replacement =
         Expr::make_read(new_name, {}, expr->type());

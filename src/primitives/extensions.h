@@ -48,8 +48,9 @@ ProcPtr split_guard(const ProcPtr& p, const Cursor& if_stmt);
 /**
  * Bind `expr` (an expression occurring in the block) to a fresh scalar
  * before the block and replace every structurally equal occurrence in
- * the block. Safety: no statement of the block writes a buffer that
- * `expr` reads.
+ * the block. Safety: no statement of the block writes or binds a name
+ * that `expr` reads, and `expr` is evaluable before the block
+ * (`require_evaluable_at`).
  */
 ProcPtr bind_expr_block(const ProcPtr& p, const Cursor& block,
                         const ExprPtr& expr, const std::string& new_name);

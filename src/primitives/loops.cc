@@ -145,8 +145,8 @@ reorder_loops(const ProcPtr& p, const Cursor& loop)
             "reorder_loops: inner bounds depend on outer iterator");
     Context ctx = Context::at(p, lc.loc().path);
     std::string why;
-    require(loop_iterations_commute(ctx, outer, &why),
-            "reorder_loops: iterations do not commute: " + why);
+    bool commute = loop_iterations_commute(ctx, outer, &why);
+    require(commute, "reorder_loops: iterations do not commute: " + why);
 
     StmtPtr new_inner = Stmt::make_for(outer->iter(), outer->lo(),
                                        outer->hi(), inner->body(),
@@ -184,7 +184,8 @@ divide_with_recompute(const ProcPtr& p, const Cursor& loop,
     require(ctx.prove_le(n_tiles * idx_const(c), bound),
             "divide_with_recompute: cannot prove n_tiles*c <= bound");
     std::string why;
-    require(loop_iterations_commute(ctx, s, &why),
+    bool commute = loop_iterations_commute(ctx, s, &why);
+    require(commute,
             "divide_with_recompute: iterations must commute: " + why);
 
     const std::string& io = new_iters[0];
@@ -343,14 +344,11 @@ fission(const ProcPtr& p, const Cursor& gap, int n_lifts)
         require(g > 0 && g < n, "fission: gap at the edge of the body");
         std::vector<StmtPtr> b1(body.begin(), body.begin() + g);
         std::vector<StmtPtr> b2(body.begin() + g, body.end());
-        // Safety: the second half must not use allocations of the first.
-        for (const auto& a : collect_allocs(b1)) {
-            for (const auto& s : b2) {
-                require(!stmt_uses(s, a),
-                        "fission: second half depends on allocation '" + a +
-                            "' in the first half");
-            }
-        }
+        // Safety: the second half must not use declarations of the
+        // first, which it would lose.
+        std::string lost = captured_name(b1, b2);
+        require(lost.empty(), "fission: second half depends on '" + lost +
+                                  "' declared in the first half");
         // Safety: no dependence from s2(i) to s1(i') for i' > i. We
         // check that accesses of b1 at iteration i1 and b2 at i2 cannot
         // conflict when i1 > i2.
@@ -491,15 +489,13 @@ remove_loop(const ProcPtr& p, const Cursor& loop)
     }
     Context ctx = Context::at(p, lc.loc().path);
     if (!ctx.prove_lt(s->lo(), s->hi())) {
-        // Zero-trip escape hatch: if every write targets a local
-        // allocation (whose pre-write contents are undefined), running
-        // the body once when the loop would have run zero times only
-        // refines undefined values and is unobservable.
+        // Zero-trip escape hatch: if every write targets a buffer the
+        // body declares, which dies with the iteration, running the
+        // body once when the loop would have run zero times is
+        // unobservable. (An allocation outside the loop is zero-filled,
+        // so writing it is observable.)
         for (const auto& acc : collect_accesses_block(s->body())) {
-            if (acc.kind == AccessKind::Read)
-                continue;
-            require(p->find_arg(acc.buf) == nullptr &&
-                        acc.buf.rfind("$cfg:", 0) != 0,
+            require(acc.kind == AccessKind::Read || acc.local,
                     "remove_loop: cannot prove the loop executes at "
                     "least once (writes non-local '" +
                         acc.buf + "')");
@@ -555,6 +551,12 @@ unroll_loop(const ProcPtr& p, const Cursor& loop)
             "unroll_loop: trip count must be positive");
     int64_t trips = hi.constant - lo.constant;
     require(trips <= 1024, "unroll_loop: trip count too large to unroll");
+    // Each copy is placed after the one before it.
+    std::string captured = trips > 1 ? captured_name(s->body(), s->body())
+                                     : "";
+    require(captured.empty(), "unroll_loop: a copy's '" + captured +
+                                  "' would capture the next copy's use "
+                                  "of the outer '" + captured + "'");
     std::vector<StmtPtr> out;
     for (int64_t k = 0; k < trips; k++) {
         auto copy =

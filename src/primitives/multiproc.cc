@@ -29,34 +29,27 @@ struct Unifier
 {
     const ProcPtr& instr;
     const ProcPtr& target_proc;
+    Path site;  ///< the first matched statement
     std::map<std::string, ExprPtr> scalars;   ///< formal -> target expr
     std::map<std::string, BufBinding> buffers;
     std::map<std::string, std::string> iters; ///< formal -> target iter
     std::vector<std::string> target_iters;    ///< iters of matched loops
 
-    Unifier(const ProcPtr& i, const ProcPtr& t)
-        : instr(i), target_proc(t) {}
+    Unifier(const ProcPtr& i, const ProcPtr& t, Path at)
+        : instr(i), target_proc(t), site(std::move(at)) {}
 
-    /** Memory kind of a target buffer (arg or local alloc). */
+    /** Memory kind of the target buffer `name` is bound to at the
+     *  match (an instruction body declares nothing, so every buffer it
+     *  matches is bound outside the matched statements). */
     MemoryKind target_mem_kind(const std::string& name) const
     {
-        if (const ProcArg* a = target_proc->find_arg(name))
-            return a->mem ? a->mem->kind() : MemoryKind::Dram;
-        std::function<const Stmt*(const std::vector<StmtPtr>&)> scan =
-            [&](const std::vector<StmtPtr>& b) -> const Stmt* {
-            for (const auto& s : b) {
-                if (s->kind() == StmtKind::Alloc && s->name() == name)
-                    return s.get();
-                if (const Stmt* r = scan(s->body()))
-                    return r;
-                if (const Stmt* r = scan(s->orelse()))
-                    return r;
-            }
-            return nullptr;
-        };
-        if (const Stmt* a = scan(target_proc->body_stmts()))
-            return a->mem()->kind();
-        return MemoryKind::Dram;
+        Binding b = binding_at(target_proc, site, name);
+        MemoryPtr mem;
+        if (b.arg)
+            mem = b.arg->mem;
+        else if (b.decl && b.decl->kind() == StmtKind::Alloc)
+            mem = b.decl->mem();
+        return mem ? mem->kind() : MemoryKind::Dram;
     }
 
     bool is_formal_scalar(const std::string& n) const
@@ -382,7 +375,7 @@ replace(const ProcPtr& p, const Cursor& s, const ProcPtr& instr)
     const auto& fbody = instr->body_stmts();
     require(static_cast<int>(fbody.size()) == hi - lo,
             "replace: statement count mismatch against " + instr->name());
-    Unifier u(instr, p);
+    Unifier u(instr, p, c.loc().path);
     for (size_t i = 0; i < fbody.size(); i++) {
         require(u.unify_stmt(fbody[i], list[static_cast<size_t>(lo) + i]),
                 "replace: unification with " + instr->name() + " failed");
@@ -410,7 +403,9 @@ try_replace_somewhere(ProcPtr* p, const ProcPtr& instr)
         {
             int n = static_cast<int>(instr->body_stmts().size());
             for (int i = 0; i + n <= static_cast<int>(list.size()); i++) {
-                Unifier u(instr, p);
+                Path at = parent;
+                at.push_back({label, i});
+                Unifier u(instr, p, std::move(at));
                 bool ok = true;
                 for (int j = 0; j < n && ok; j++) {
                     ok = u.unify_stmt(
@@ -529,10 +524,19 @@ inline_call(const ProcPtr& p, const Cursor& call)
             "inline: arity mismatch");
 
     std::vector<StmtPtr> body = callee->body_stmts();
-    // Rename local allocations fresh to avoid collisions, each
-    // declaration together with the uses it binds.
-    for (const auto& nm : collect_allocs(body)) {
-        std::string fresh = fresh_in(p, nm);
+    // Rename local declarations fresh to avoid collisions, each
+    // declaration together with the uses it binds (a formal or an
+    // iterator has no declaration to rename). A fresh name is unused in
+    // the callee too, or two of its declarations would merge.
+    std::vector<std::string> names = used_names(callee);
+    for (const auto& nm : names) {
+        std::string fresh = nm;
+        for (int i = 1; fresh_in(p, fresh) != fresh ||
+                        (fresh != nm && std::count(names.begin(), names.end(),
+                                                   fresh) != 0);
+             i++) {
+            fresh = nm + "_" + std::to_string(i);
+        }
         if (fresh != nm)
             body = rename_declarations(body, nm, fresh);
     }
@@ -659,70 +663,41 @@ extract_subproc_impl(const ProcPtr& p, const Cursor& c,
     const auto& list = stmt_list_at(p, addr);
     std::vector<StmtPtr> block(list.begin() + lo, list.begin() + hi);
 
-    // Free names of the block = used names minus block-local binders.
-    std::set<std::string> bound;
-    for (const auto& nm : collect_allocs(block))
-        bound.insert(nm);
-    std::function<void(const StmtPtr&)> binders = [&](const StmtPtr& st) {
-        if (st->kind() == StmtKind::For)
-            bound.insert(st->iter());
-        if (st->kind() == StmtKind::WindowDecl)
-            bound.insert(st->name());
-        for (const auto& k : st->body())
-            binders(k);
-        for (const auto& k : st->orelse())
-            binders(k);
-    };
-    for (const auto& st : block)
-        binders(st);
-
+    // The block's free names are the ones it uses from outside; each
+    // becomes an argument shaped by what it is bound to there.
     std::vector<ProcArg> args;
     std::vector<ExprPtr> call_args;
     std::set<std::string> taken;
     // Order: proc args first (stable), then any allocs from outside.
     auto add_free = [&](const std::string& nm) {
-        if (bound.count(nm) || taken.count(nm))
-            return;
-        bool used = false;
-        for (const auto& st : block) {
-            if (stmt_uses(st, nm)) {
-                used = true;
-                break;
-            }
-        }
-        if (!used)
+        if (taken.count(nm) || !block_uses_unshadowed(block, nm))
             return;
         taken.insert(nm);
-        if (const ProcArg* a = p->find_arg(nm)) {
-            ProcArg na = *a;
-            if (!na.dims.empty())
-                na.is_window = true;
-            args.push_back(na);
-            call_args.push_back(
-                Expr::make_read(nm, {}, na.type));
-            return;
-        }
-        // Must be an outer alloc or iterator; find the alloc if any.
-        try {
-            Cursor acur = p->find_alloc(nm);
-            StmtPtr as = acur.stmt();
-            ProcArg na;
-            na.name = nm;
-            na.type = as->type();
-            na.dims = as->dims();
-            na.mem = as->mem();
-            na.is_window = !as->dims().empty();
-            args.push_back(na);
-            call_args.push_back(Expr::make_read(nm, {}, na.type));
-        } catch (const SchedulingError&) {
+        Binding b = binding_at(p, bc.loc().path, nm);
+        require(static_cast<bool>(b),
+                "extract_subproc: '" + nm + "' is not bound at the block");
+        ProcArg na;
+        if (b.arg) {
+            na = *b.arg;
+        } else if (b.decl->kind() == StmtKind::For) {
             // Outer loop iterator: pass as a size-like scalar.
-            ProcArg na;
             na.name = nm;
             na.type = ScalarType::Index;
             na.is_size = true;
             args.push_back(na);
             call_args.push_back(var(nm));
+            return;
+        } else {
+            na.name = nm;
+            na.type = b.decl->type();
+            na.dims = binding_dims(b);
+            na.mem = b.decl->kind() == StmtKind::Alloc ? b.decl->mem()
+                                                       : mem_dram();
         }
+        if (!na.dims.empty())
+            na.is_window = true;
+        args.push_back(na);
+        call_args.push_back(Expr::make_read(nm, {}, na.type));
     };
     for (const auto& a : p->args())
         add_free(a.name);

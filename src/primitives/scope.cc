@@ -26,8 +26,8 @@ reorder_stmts(const ProcPtr& p, const Cursor& first, const Cursor& second)
             "reorder_stmts: statements must be adjacent");
     Context ctx = Context::at(p, c1.loc().path);
     std::string why;
-    require(stmts_commute(ctx, c1.stmt(), c2.stmt(), &why),
-            "reorder_stmts: statements do not commute: " + why);
+    bool commute = stmts_commute(ctx, c1.stmt(), c2.stmt(), &why);
+    require(commute, "reorder_stmts: statements do not commute: " + why);
     // Move the second statement before the first.
     return apply_move(p, l1, pos2, pos2 + 1, l1, pos1, "reorder_stmts");
 }
@@ -80,6 +80,7 @@ specialize(const ProcPtr& p, const Cursor& stmt,
     for (const auto& cond : conds) {
         require(cond && cond->type() == ScalarType::Bool,
                 "specialize: conditions must be boolean predicates");
+        require_evaluable_at(p, c.loc().path, cond, "specialize");
     }
     // The branch bodies open a new scope: allocations in the wrapped
     // range must not be referenced after it.
@@ -177,6 +178,10 @@ fuse(const ProcPtr& p, const Cursor& scope1, const Cursor& scope2)
                     !block_binds_name(s2->body(), s1->iter()),
                 "fuse: '" + s1->iter() +
                     "' is re-bound inside the second loop's body");
+        std::string captured = captured_name(s1->body(), s2->body());
+        require(captured.empty(), "fuse: the first body's '" + captured +
+                                      "' would capture the second's use "
+                                      "of the outer '" + captured + "'");
         std::vector<StmtPtr> b2 =
             block_subst(s2->body(), s2->iter(), var(s1->iter()));
         // Pure-recomputation acceptance: buffers written in s1 only by
@@ -337,6 +342,12 @@ fuse(const ProcPtr& p, const Cursor& scope1, const Cursor& scope2)
                     "fuse: first scope writes '" + name +
                         "' read by the condition");
         }
+        std::string captured = captured_name(s1->body(), s2->body());
+        if (captured.empty())
+            captured = captured_name(s1->orelse(), s2->orelse());
+        require(captured.empty(), "fuse: the first branch's '" + captured +
+                                      "' would capture the second's use "
+                                      "of the outer '" + captured + "'");
         std::vector<StmtPtr> body = s1->body();
         body.insert(body.end(), s2->body().begin(), s2->body().end());
         std::vector<StmtPtr> orelse = s1->orelse();

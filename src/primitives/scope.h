@@ -30,7 +30,8 @@ ProcPtr commute_expr(const ProcPtr& p, const Cursor& expr);
 
 /**
  * Wrap `stmt` (or block) in a chain of specialization branches:
- * `if conds[0]: s else: if conds[1]: s else: ... else: s`.
+ * `if conds[0]: s else: if conds[1]: s else: ... else: s`. Each
+ * condition must be evaluable before the block (`require_evaluable_at`).
  */
 ProcPtr specialize(const ProcPtr& p, const Cursor& stmt,
                    const std::vector<ExprPtr>& conds);

@@ -14,7 +14,6 @@
 #include "src/cache/cache.h"
 #include "src/ir/errors.h"
 #include "src/kernels/blas.h"
-#include "src/kernels/image.h"
 #include "src/lint/lint.h"
 #include "src/machine/machine.h"
 #include "src/obs/metrics.h"
@@ -36,49 +35,6 @@ now_seconds()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-/** "K=48,M=48,N=48" -> SizeEnv. Throws ConfigError on malformed
- *  pairs; an unsatisfiable request must answer `error`, not guess. */
-verify::SizeEnv
-parse_sizes(const std::string& text)
-{
-    verify::SizeEnv env;
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        std::string pair = text.substr(pos, comma - pos);
-        size_t eq = pair.find('=');
-        if (eq == std::string::npos || eq == 0)
-            throw ConfigError("request sizes '" + text +
-                              "': expected name=value pairs");
-        try {
-            size_t used = 0;
-            int64_t v = std::stoll(pair.substr(eq + 1), &used);
-            if (used != pair.size() - eq - 1 || v <= 0)
-                throw std::invalid_argument(pair);
-            env[pair.substr(0, eq)] = v;
-        } catch (const std::exception&) {
-            throw ConfigError("request sizes '" + text +
-                              "': bad value in '" + pair + "'");
-        }
-        pos = comma + 1;
-    }
-    return env;
-}
-
-/** Request kernel name -> naive proc: the blas registry plus the
- *  non-registry demo kernels. */
-ProcPtr
-resolve_kernel(const std::string& name)
-{
-    if (name == "sgemm")
-        return kernels::sgemm();
-    if (name == "blur")
-        return kernels::blur();
-    return kernels::find_kernel(name).proc;
 }
 
 /** Attach a lint verdict to a response as structured extra fields:
@@ -549,11 +505,11 @@ Daemon::process_tune(const ServeRequest& req, double admitted)
     ServeResponse resp;
     resp.id = req.id;
 
-    ProcPtr naive = resolve_kernel(req.kernel);
+    ProcPtr naive = kernels::resolve_kernel(req.kernel);
     const Machine& m = find_machine(req.machine);
 
     tune::TuneOpts opts;
-    opts.tune_sizes = parse_sizes(req.sizes);
+    opts.tune_sizes = verify::parse_sizes(req.sizes);
     if (opts.tune_sizes.empty())
         throw ConfigError("tune request needs non-empty sizes");
     if (req.beam > 0)
@@ -630,7 +586,7 @@ Daemon::process_lint(const ServeRequest& req)
     ServeResponse resp;
     resp.id = req.id;
 
-    ProcPtr p = resolve_kernel(req.kernel);
+    ProcPtr p = kernels::resolve_kernel(req.kernel);
     // Lint fills the same unsynchronized analysis caches a tune does.
     std::lock_guard<std::mutex> lk(engine_mu_);
     if (!req.script.empty()) {
@@ -659,7 +615,7 @@ Daemon::process_schedule(const ServeRequest& req)
     ServeResponse resp;
     resp.id = req.id;
 
-    ProcPtr naive = resolve_kernel(req.kernel);
+    ProcPtr naive = kernels::resolve_kernel(req.kernel);
     std::vector<verify::FuzzStep> script =
         verify::script_from_string(req.script);
 
@@ -683,7 +639,7 @@ Daemon::process_schedule(const ServeRequest& req)
     resp.status = "ok";
     resp.extra["digest"] = cache::hex64(proc_digest(scheduled));
     if (!req.sizes.empty()) {
-        verify::SizeEnv env = parse_sizes(req.sizes);
+        verify::SizeEnv env = verify::parse_sizes(req.sizes);
         resp.cost = simulate_cost_named(scheduled, env).cycles;
         resp.naive_cost = simulate_cost_named(naive, env).cycles;
         if (req.validate == 1) {

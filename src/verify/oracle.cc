@@ -75,6 +75,35 @@ fmt_double(double v)
 
 }  // namespace
 
+SizeEnv
+parse_sizes(const std::string& text)
+{
+    SizeEnv env;
+    size_t pos = 0;
+    while (pos < text.size()) {
+        size_t comma = text.find(',', pos);
+        if (comma == std::string::npos)
+            comma = text.size();
+        std::string pair = text.substr(pos, comma - pos);
+        size_t eq = pair.find('=');
+        if (eq == std::string::npos || eq == 0)
+            throw ConfigError("sizes '" + text +
+                              "': expected name=value pairs");
+        try {
+            size_t used = 0;
+            int64_t v = std::stoll(pair.substr(eq + 1), &used);
+            if (used != pair.size() - eq - 1 || v <= 0)
+                throw std::invalid_argument(pair);
+            env[pair.substr(0, eq)] = v;
+        } catch (const std::exception&) {
+            throw ConfigError("sizes '" + text + "': bad value in '" +
+                              pair + "'");
+        }
+        pos = comma + 1;
+    }
+    return env;
+}
+
 int64_t
 eval_index_expr(const ExprPtr& e, const SizeEnv& env)
 {

@@ -32,6 +32,10 @@ namespace verify {
 /** Values for the size arguments of a procedure. */
 using SizeEnv = std::map<std::string, int64_t>;
 
+/** "K=48,M=48,N=48" -> SizeEnv. Throws ConfigError on a malformed pair
+ *  or a value that is not a positive decimal integer. */
+SizeEnv parse_sizes(const std::string& text);
+
 /**
  * Evaluate an Index-typed expression (size-argument arithmetic,
  * including the object language's floor div/mod and predicates) under

@@ -57,6 +57,60 @@ def f(N: size, arr: f32[34 * N] @ DRAM, x: f32[N] @ DRAM):
     EXPECT_EQ(print_expr(simplify_expr(ctx, b[0].hi)), "32 * io + 34");
 }
 
+TEST(BoundsInference, NestedRedeclarationIsAnotherBuffer)
+{
+    const char* src = R"(
+def f(N: size, arr: f32[32 * N + 2] @ DRAM, x: f32[32 * N] @ DRAM):
+    for io in seq(0, N):
+        for ii in seq(0, 32):
+            x[32 * io + ii] = arr[32 * io + ii]
+            for k in seq(0, 1):
+                arr: f32[64] @ DRAM
+                arr[ii + 32] = 1.0
+)";
+    ProcPtr p = parse_proc(src);
+    auto b = inspect::infer_bounds(p, p->find_loop("io"), "arr");
+    ASSERT_EQ(b.size(), 1u);
+    Context ctx = Context::inside(p, p->find_loop("io").loc().path);
+    EXPECT_EQ(print_expr(simplify_expr(ctx, b[0].lo)), "32 * io");
+    EXPECT_EQ(print_expr(simplify_expr(ctx, b[0].hi)), "32 * io + 32");
+    // Only the local is written in the scope.
+    EXPECT_THROW(inspect::infer_write_bounds(p, p->find_loop("io"), "arr"),
+                 SchedulingError);
+}
+
+TEST(BoundsInference, SeesWindowsPassedToCalls)
+{
+    ProcPtr ld8 = parse_proc(R"(
+def ld8(dst: [f32][8] @ AVX2, src: [f32][8] @ DRAM):
+    for i in seq(0, 8):
+        dst[i] = src[i]
+)");
+    ProcPtr p = parse_proc(R"(
+def f(N: size, arr: f32[32 * N + 12] @ DRAM, x: f32[32 * N] @ DRAM):
+    v: f32[8] @ AVX2
+    for io in seq(0, N):
+        ld8(v[0:8], arr[32 * io + 4:32 * io + 12])
+        x[32 * io] = arr[32 * io]
+)",
+                           {ld8});
+    auto b = inspect::infer_read_bounds(p, p->find_loop("io"), "arr");
+    ASSERT_EQ(b.size(), 1u);
+    Context ctx = Context::inside(p, p->find_loop("io").loc().path);
+    EXPECT_EQ(print_expr(simplify_expr(ctx, b[0].lo)), "32 * io");
+    EXPECT_EQ(print_expr(simplify_expr(ctx, b[0].hi)), "32 * io + 12");
+    // A whole buffer passed to a call has no bounds to infer.
+    ProcPtr q = parse_proc(R"(
+def g(a: f32[8] @ DRAM):
+    v: f32[8] @ AVX2
+    for k in seq(0, 1):
+        ld8(v, a)
+)",
+                           {ld8});
+    EXPECT_THROW(inspect::infer_bounds(q, q->find_loop("k"), "a"),
+                 SchedulingError);
+}
+
 TEST(Halide, TileBlur)
 {
     ProcPtr p = kernels::blur();

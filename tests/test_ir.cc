@@ -99,6 +99,19 @@ def foo(x: f32[64] @ DRAM):
     EXPECT_EQ(call->args()[1]->kind(), ExprKind::Window);
 }
 
+TEST(IrParse, WindowStatementDeclaresAFreshName)
+{
+    ProcPtr p = parse_proc(R"(
+def w(t: f32[4, 2] @ DRAM, z: f32[2] @ DRAM):
+    y = t[1, 0:2]
+    z[0] = y[1]
+)");
+    const StmtPtr& decl = p->body_stmts()[0];
+    ASSERT_EQ(decl->kind(), StmtKind::WindowDecl);
+    EXPECT_EQ(decl->name(), "y");
+    EXPECT_EQ(print_expr(p->body_stmts()[1]->rhs()), "y[1]");
+}
+
 TEST(IrExpr, SubstAndEquality)
 {
     ExprPtr e = parse_expr_str("8 * io + ii + 1");
@@ -155,6 +168,67 @@ TEST(IrScope, OneRuleForEveryWalk)
                                           b[2]}));
     EXPECT_EQ(entered,
               (std::vector<PathLabel>{PathLabel::Body, PathLabel::Orelse}));
+}
+
+TEST(IrScope, BindingAtResolvesTheInnermostDeclaration)
+{
+    ProcPtr p = parse_proc(R"(
+def b(n: size, x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    y[0] = x[0]
+    for i in seq(0, 2):
+        y[i] = x[i]
+        x: f32[2, 3] @ DRAM
+        for x in seq(0, 2):
+            y[x] = 1.0
+        x[i, 0] = 1.0
+        w = x[i, 0:3]
+        y[i] = w[2]
+    y[1] = x[1]
+)");
+    auto at = [&](std::vector<PathStep> path, const std::string& name) {
+        return binding_at(p, path, name);
+    };
+    const PathLabel B = PathLabel::Body;
+    // The argument, before and after the loop.
+    EXPECT_EQ(at({{B, 0}}, "x").arg, p->find_arg("x"));
+    EXPECT_EQ(at({{B, 2}}, "x").arg, p->find_arg("x"));
+    // In the loop: the argument until the re-declaration, then the
+    // local, except under the For that rebinds the name.
+    EXPECT_EQ(at({{B, 1}, {B, 0}}, "x").arg, p->find_arg("x"));
+    Binding local = at({{B, 1}, {B, 3}}, "x");
+    EXPECT_EQ(local.decl, p->body_stmts()[1]->body()[1]);
+    EXPECT_EQ(binding_dims(local).size(), 2u);
+    EXPECT_EQ(at({{B, 1}, {B, 1}}, "x").arg, p->find_arg("x"));  // own dims
+    Binding iter = at({{B, 1}, {B, 2}, {B, 0}}, "x");
+    ASSERT_TRUE(iter.decl);
+    EXPECT_EQ(iter.decl->kind(), StmtKind::For);
+    EXPECT_TRUE(binding_dims(iter).empty());
+    EXPECT_EQ(at({{B, 1}, {B, 2}}, "x").decl, local.decl);  // own bounds
+    EXPECT_EQ(at({{B, 1}, {B, 0}}, "i").decl, p->body_stmts()[1]);
+    // A window's shape is its interval extents; a gap path works too.
+    Binding w = at({{B, 1}, {B, 6}}, "w");
+    ASSERT_TRUE(w.decl);
+    ASSERT_EQ(binding_dims(w).size(), 1u);
+    EXPECT_EQ(print_expr(binding_dims(w)[0]), "3 - 0");
+    EXPECT_FALSE(at({{B, 3}}, "w"));
+    EXPECT_FALSE(at({{B, 0}}, "nope"));
+}
+
+TEST(IrScope, CaptureCheckFindsAnOuterUseAfterADeclaration)
+{
+    ProcPtr p = parse_proc(R"(
+def c(t: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    t: f32[4] @ DRAM
+    t[0] = 1.0
+    y[0] = t[0]
+)");
+    const auto& b = p->body_stmts();
+    std::vector<StmtPtr> decl(b.begin(), b.begin() + 1);
+    std::vector<StmtPtr> use(b.begin() + 2, b.end());
+    EXPECT_EQ(captured_name(decl, use), "t");
+    EXPECT_EQ(captured_name(use, decl), "");
+    // A list that re-declares the name before using it captures nothing.
+    EXPECT_EQ(captured_name(decl, b), "");
 }
 
 TEST(IrExpr, Uses)

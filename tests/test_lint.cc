@@ -81,6 +81,31 @@ def f(x: f32[4] @ DRAM):
     EXPECT_TRUE(found);
 }
 
+TEST(Lint, ShapesComeFromTheBindingInScope)
+{
+    // The loop-local `x: f32[2]` ends with its loop: `x[5]` writes the
+    // argument `x: f32[8]` and is in bounds. A shape that outlived its
+    // block made this a proven Error.
+    ProcPtr p = parse_proc(R"(
+def f(x: f32[8] @ DRAM):
+    for i in seq(0, 2):
+        x: f32[2] @ DRAM
+        x[0] = 1.0
+    x[5] = 2.0
+)");
+    LintReport rep = lint::lint_proc(p);
+    EXPECT_FALSE(rep.has_errors()) << rep.to_text();
+    EXPECT_FALSE(rep.has_code("EXL001")) << rep.to_text();
+    // Inside the loop the local shape applies.
+    ProcPtr q = parse_proc(R"(
+def f(x: f32[8] @ DRAM):
+    for i in seq(0, 2):
+        x: f32[2] @ DRAM
+        x[5] = 1.0
+)");
+    EXPECT_TRUE(lint::lint_proc(q).has_code("EXL002"));
+}
+
 TEST(Lint, EXL002UnreachableIsNotAnError)
 {
     // The out-of-bounds store is guarded away: `x[7]` only under

@@ -366,6 +366,29 @@ def r(n: size, a: f32, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
     expect_equiv(p, p2, {{"n", 7}});
 }
 
+TEST(BindExpr, BlockChecksTheReadAgainstTheLocalBuffer)
+{
+    // Inside the loop `x` is the local `x: f32[2]`; hoisting `x[i]`
+    // above `if i < 2` reads it out of bounds for i >= 2 (the bounds
+    // were once proved against the argument `x: f32[8]`).
+    const char* src = R"(
+def r(x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    for i in seq(0, 8):
+        x: f32[2] @ DRAM
+        x[0] = 1.0
+        x[1] = 2.0
+        if i < 2:
+            y[i] = x[i] + x[i]
+)";
+    ProcPtr p = parse_proc(src);
+    ExprPtr xi = Expr::make_read("x", {var("i")}, ScalarType::F32);
+    EXPECT_THROW(bind_expr_block(p, p->find("if _: _"), xi, "v"),
+                 SchedulingError);
+    // Under the guard the read is in bounds.
+    Cursor use = p->find("y[_] = _");
+    expect_equiv(p, bind_expr_block(p, use, xi, "v"), {});
+}
+
 TEST(BindExpr, CseReplacesAllOccurrences)
 {
     const char* src = R"(

@@ -125,6 +125,55 @@ def smooth(n: size, x: f32[n + 1, n + 1] @ DRAM):
     EXPECT_THROW(reorder_loops(p, "i"), SchedulingError);
 }
 
+TEST(ReorderLoops, RefusalNamesTheConflictingBuffer)
+{
+    const char* src = R"(
+def smooth(n: size, x: f32[n + 1, n + 1] @ DRAM):
+    for i in seq(0, n):
+        for j in seq(0, n):
+            x[i + 1, j] = x[i, j + 1]
+)";
+    ProcPtr p = parse_proc(src);
+    try {
+        reorder_loops(p, "i");
+        FAIL() << "reorder_loops accepted a carried dependence";
+    } catch (const SchedulingError& e) {
+        EXPECT_NE(std::string(e.what()).find("'x'"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ReorderLoops, LoopLocalBufferDoesNotHideTheOuterOne)
+{
+    // The body reads and writes the outer `t` before re-declaring it:
+    // the outer `t` carries a value across both loops, so the
+    // iterations do not commute. Reordered, y = (1, 4, 11, 26) became
+    // (1, 12, 5, 28) for x = (1, 2, 3, 4).
+    const char* src = R"(
+def r(x: f32[4] @ DRAM, y: f32[4] @ DRAM):
+    t: f32[1] @ DRAM
+    t[0] = 0.0
+    for i in seq(0, 2):
+        for j in seq(0, 2):
+            t[0] = t[0] * 2.0 + x[2 * i + j]
+            y[2 * i + j] = t[0]
+            t: f32[1] @ DRAM
+            t[0] = 0.0
+)";
+    ProcPtr p = parse_proc(src);
+    EXPECT_THROW(reorder_loops(p, "i"), SchedulingError);
+    // Control: a body whose every access is to its own `t` commutes.
+    ProcPtr q = parse_proc(R"(
+def r(x: f32[4] @ DRAM, y: f32[4] @ DRAM):
+    for i in seq(0, 2):
+        for j in seq(0, 2):
+            t: f32[1] @ DRAM
+            t[0] = x[2 * i + j]
+            y[2 * i + j] = t[0]
+)");
+    expect_equiv(q, reorder_loops(q, "i"), {});
+}
+
 TEST(ReorderLoops, AcceptsIndependent)
 {
     ProcPtr g = parse_proc(kGemv);
@@ -248,6 +297,28 @@ def r(n: size, x: f32[4] @ DRAM, y: f32[4] @ DRAM):
     EXPECT_THROW(remove_loop(p, p->find_loop("i")), SchedulingError);
 }
 
+TEST(RemoveLoop, PossiblyEmptyLoopMayOnlyWriteItsOwnBuffers)
+{
+    // `t` is declared outside the loop and zero-filled: with n = 0 the
+    // original leaves y[0] = 0, and running the body once would make
+    // it 1. Deciding "local" by "not an argument" accepted it.
+    ProcPtr p = parse_proc(R"(
+def r(n: size, y: f32[1] @ DRAM):
+    t: f32[1] @ DRAM
+    for i in seq(0, n):
+        t[0] = 1.0
+    y[0] = t[0]
+)");
+    EXPECT_THROW(remove_loop(p, p->find_loop("i")), SchedulingError);
+    ProcPtr q = parse_proc(R"(
+def r(n: size, y: f32[1] @ DRAM):
+    for i in seq(0, n):
+        t: f32[1] @ DRAM
+        t[0] = 1.0
+)");
+    expect_equiv(q, remove_loop(q, q->find_loop("i")), {{"n", 0}});
+}
+
 TEST(AddLoop, WrapAndInverse)
 {
     const char* src = R"(
@@ -277,6 +348,35 @@ def r(x: f32[4] @ DRAM, y: f32[4] @ DRAM):
     EXPECT_EQ(p2->body_stmts().size(), 4u);
     EXPECT_EQ(print_stmt(p2->body_stmts()[2]), "x[2] = y[2] * 2.0\n");
     expect_equiv(p, p2, {});
+}
+
+TEST(UnrollLoop, RefusesCaptureByAnEarlierCopy)
+{
+    // Copy k's `t: f32[4]` would capture copy k+1's read of the outer
+    // `t` (the interpreter then failed with "index 5 not in [0, 4)").
+    const char* src = R"(
+def r(x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    t: f32[8] @ DRAM
+    for i in seq(0, 8):
+        t[i] = x[i]
+    for io in seq(0, 4):
+        for ii in seq(0, 2):
+            y[2 * io + ii] = t[2 * io + ii]
+            t: f32[4] @ DRAM
+            t[0] = 1.0
+)";
+    ProcPtr p = parse_proc(src);
+    EXPECT_THROW(unroll_loop(p, "ii"), SchedulingError);
+    // A copy that declares its `t` before using it captures nothing.
+    ProcPtr q = parse_proc(R"(
+def r(x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    for io in seq(0, 4):
+        for ii in seq(0, 2):
+            t: f32[4] @ DRAM
+            t[0] = x[2 * io + ii]
+            y[2 * io + ii] = t[0]
+)");
+    expect_equiv(q, unroll_loop(q, "ii"), {});
 }
 
 TEST(UnrollLoop, RejectsSymbolicBounds)

@@ -75,6 +75,58 @@ def r(n: size, x: f32[n] @ DRAM):
         expect_equiv(p, p2, {{"n", n}});
 }
 
+TEST(Specialize, RefusesAConditionThatCannotBeEvaluatedThere)
+{
+    const char* src = R"(
+def r(x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    for i in seq(0, 8):
+        x: f32[2, 2] @ DRAM
+        x[0, 0] = 1.0
+        y[i] = x[0, 0]
+)";
+    ProcPtr p = parse_proc(src);
+    auto ge0 = [](ExprPtr e) {
+        return Expr::make_binop(BinOpKind::Ge, std::move(e),
+                                Expr::make_const(0.0, ScalarType::F32));
+    };
+    auto x_at = [](std::vector<ExprPtr> idx) {
+        return Expr::make_read("x", std::move(idx), ScalarType::F32);
+    };
+    // Out of bounds of the argument `x: f32[8]`.
+    EXPECT_THROW(
+        specialize(p, p->find_loop("i"), {ge0(x_at({idx_const(100)}))}),
+        SchedulingError);
+    // Inside the loop `x` is the 2-D local: one index is the wrong rank.
+    Cursor use = p->find("y[_] = _");
+    EXPECT_THROW(specialize(p, use, {ge0(x_at({idx_const(0)}))}),
+                 SchedulingError);
+    ProcPtr ok =
+        specialize(p, use, {ge0(x_at({idx_const(0), idx_const(1)}))});
+    expect_equiv(p, ok, {});
+}
+
+TEST(SplitGuard, KeepsADeclarationWithItsUses)
+{
+    const char* src = R"(
+def r(n: size, x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    if n > 2:
+        t: f32[1] @ DRAM
+        t[0] = x[0]
+        y[0] = t[0]
+)";
+    ProcPtr p = parse_proc(src);
+    EXPECT_THROW(split_guard(p, p->find("if _: _")), SchedulingError);
+    ProcPtr q = parse_proc(R"(
+def r(n: size, x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    if n > 2:
+        x[1] = x[0]
+        y[0] = x[1]
+)");
+    ProcPtr q2 = split_guard(q, q->find("if _: _"));
+    EXPECT_EQ(q2->body_stmts().size(), 2u);
+    expect_equiv(q, q2, {{"n", 4}});
+}
+
 TEST(Fuse, MergesEqualLoops)
 {
     const char* src = R"(
@@ -91,6 +143,60 @@ def r(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
     EXPECT_EQ(p2->body_stmts().size(), 1u);
     EXPECT_EQ(p2->body_stmts()[0]->body().size(), 2u);
     expect_equiv(p, p2, {{"n", 6}});
+}
+
+TEST(Fuse, RefusesToTrustAWriteToAnInnerBuffer)
+{
+    // The inner `t[i + 1]` writes a loop-local `t`: it does not cover
+    // the consumer's read of the outer `t[j + 1]`. Fused, y[0..5]
+    // read 0 instead of x[1..6].
+    const char* src = R"(
+def r(x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    t: f32[8] @ DRAM
+    for i in seq(0, 7):
+        t[i] = x[i]
+        for k in seq(0, 1):
+            t: f32[8] @ DRAM
+            t[i + 1] = 0.0
+    for j in seq(0, 7):
+        y[j] = t[j + 1]
+)";
+    ProcPtr p = parse_proc(src);
+    EXPECT_THROW(fuse(p, p->find_loop("i"), p->find_loop("j")),
+                 SchedulingError);
+}
+
+TEST(Fuse, RefusesCaptureOfTheSecondBodysRead)
+{
+    // The first body's `t: f32[8]` would capture the second body's
+    // read of the outer `t` (y became 0 instead of x[0..6]).
+    const char* src = R"(
+def r(x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    t: f32[8] @ DRAM
+    for k in seq(0, 8):
+        t[k] = x[k]
+    for i in seq(0, 7):
+        t: f32[8] @ DRAM
+        t[7] = 1.0
+    for j in seq(0, 7):
+        y[j] = t[j]
+)";
+    ProcPtr p = parse_proc(src);
+    EXPECT_THROW(fuse(p, p->find_loop("i"), p->find_loop("j")),
+                 SchedulingError);
+    // The If form splices both branches.
+    ProcPtr q = parse_proc(R"(
+def r(n: size, x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    t: f32[8] @ DRAM
+    t[0] = x[0]
+    if n > 2:
+        t: f32[8] @ DRAM
+        t[0] = 1.0
+    if n > 2:
+        y[0] = t[0]
+)");
+    EXPECT_THROW(fuse(q, q->find("if _: _"), q->find("if _: _ #1")),
+                 SchedulingError);
 }
 
 TEST(Fuse, RejectsBackwardDependence)
@@ -253,11 +359,30 @@ def r(x: f32[8] @ DRAM):
         x[i] = v[i]
 )";
     ProcPtr p = parse_proc(src);
-    ProcPtr p2 = set_memory(p, "v", mem_avx2());
+    ProcPtr p2 = set_memory(p, p->find_alloc("v"), mem_avx2());
     EXPECT_EQ(p2->find_alloc("v").stmt()->mem()->name(), "AVX2");
     // f32[8] is 32 bytes: exactly one AVX2 register, but half an AVX512
     // register: rejected.
-    EXPECT_THROW(set_memory(p, "v", mem_avx512()), SchedulingError);
+    EXPECT_THROW(set_memory(p, p->find_alloc("v"), mem_avx512()),
+                 SchedulingError);
+}
+
+TEST(ParallelizeLoop, RefusesARaceOnTheOuterBuffer)
+{
+    // `t` is re-declared in the body after it reads and writes the
+    // outer `t`, which carries its value across iterations.
+    const char* src = R"(
+def r(x: f32[4] @ DRAM, y: f32[4] @ DRAM):
+    t: f32[1] @ DRAM
+    t[0] = 0.0
+    for i in seq(0, 4):
+        t[0] = t[0] + x[i]
+        y[i] = t[0]
+        t: f32[1] @ DRAM
+        t[0] = 0.0
+)";
+    ProcPtr p = parse_proc(src);
+    EXPECT_THROW(parallelize_loop(p, p->find_loop("i")), SchedulingError);
 }
 
 TEST(ParallelizeLoop, AcceptsAndRejects)
@@ -375,6 +500,29 @@ def caller(x: f32[2] @ DRAM, y: f32[2] @ DRAM):
     expect_equiv(p, p2, {});
 }
 
+TEST(InlineCall, FreshNamesAvoidTheCalleesOwnNames)
+{
+    // Freshening the callee's `t` against the caller alone picked
+    // `t_1`, which the callee also declares: the two merged.
+    ProcPtr g = parse_proc(R"(
+def g(a: f32[2] @ DRAM):
+    t: f32[2] @ DRAM
+    t_1: f32[2] @ DRAM
+    t_1[0] = 5.0
+    t[0] = a[0]
+    a[1] = t[0] + t_1[0]
+)");
+    ProcPtr p = parse_proc(R"(
+def f(x: f32[2] @ DRAM):
+    t: f32[1] @ DRAM
+    t[0] = 1.0
+    g(x)
+    x[0] = t[0]
+)",
+                           {g});
+    expect_equiv(p, inline_call(p, p->find("g(_)")), {});
+}
+
 TEST(Replace, UnifiesLoopWithInstr)
 {
     // A vector-load style instruction.
@@ -408,6 +556,43 @@ def r(n: size, x: f32[n] @ DRAM):
               std::string::npos)
         << printed;
     expect_equiv(p, p2, {{"n", 16}});
+}
+
+TEST(Replace, UnifiesWithTheBufferBoundAtTheMatch)
+{
+    ProcPtr ld = Proc::make(
+        "vld8",
+        {buffer_arg("dst", ScalarType::F32, {idx_const(8)}, mem_avx2(),
+                    true),
+         buffer_arg("src", ScalarType::F32, {idx_const(8)}, nullptr,
+                    true)},
+        {},
+        parse_proc(R"(
+def body(dst: [f32][8] @ AVX2, src: [f32][8] @ DRAM):
+    for i in seq(0, 8):
+        dst[i] = src[i]
+)")
+            ->body_stmts(),
+        InstrInfo{"vld8({dst}, {src})", 1.0, "load"});
+    // An earlier loop declares an AVX2 `t`; the matched loop writes a
+    // DRAM `t`, which the AVX2 `dst` operand must not bind to.
+    const char* src = R"(
+def r(x: f32[8] @ DRAM, y: f32[8] @ DRAM):
+    for k in seq(0, 1):
+        t: f32[8] @ AVX2
+        for i in seq(0, 8):
+            t[i] = x[i]
+    t: f32[8] @ DRAM
+    for i in seq(0, 8):
+        t[i] = x[i]
+    for i in seq(0, 8):
+        y[i] = t[i]
+)";
+    ProcPtr p = parse_proc(src);
+    EXPECT_THROW(replace(p, p->find_loop("i #1"), ld), SchedulingError);
+    ProcPtr inner = replace(p, p->find_loop("i"), ld);
+    EXPECT_NE(print_proc(inner).find("vld8(t[0:8], x[0:8])"),
+              std::string::npos);
 }
 
 TEST(Replace, RejectsShapeMismatch)

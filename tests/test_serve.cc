@@ -24,10 +24,13 @@
 #include <vector>
 
 #include "src/cache/cache.h"
+#include "src/ir/errors.h"
+#include "src/kernels/blas.h"
 #include "src/obs/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/daemon.h"
 #include "src/serve/protocol.h"
+#include "src/verify/oracle.h"
 #include "src/verify/sandbox.h"
 
 namespace exo2 {
@@ -281,6 +284,24 @@ TEST_F(ServeTest, TuneThenCacheHitIsBitForBit)
     EXPECT_DOUBLE_EQ(replayed.cost, cold.cost);
 
     d.stop();
+}
+
+TEST(RequestFields, SizesAreNamePositiveIntegerPairs)
+{
+    verify::SizeEnv env = verify::parse_sizes("K=48,M=1,N=300");
+    EXPECT_EQ(env, (verify::SizeEnv{{"K", 48}, {"M", 1}, {"N", 300}}));
+    EXPECT_TRUE(verify::parse_sizes("").empty());
+    for (const char* bad : {"n", "=4", "n=", "n=banana", "n=4x", "n=0",
+                            "n=-2", "n=4,m"}) {
+        EXPECT_THROW(verify::parse_sizes(bad), ConfigError) << bad;
+    }
+}
+
+TEST(RequestFields, KernelNamesIncludeTheDemoKernels)
+{
+    for (const char* name : {"saxpy", "sgemv_n", "sgemm", "blur", "unsharp"})
+        EXPECT_EQ(kernels::resolve_kernel(name)->name(), name);
+    EXPECT_THROW(kernels::resolve_kernel("no_such_kernel"), SchedulingError);
 }
 
 TEST_F(ServeTest, MalformedRequestsAnswerErrorNotDisconnect)

@@ -255,13 +255,15 @@ TEST(FuzzRegression, SinkAllocRefusesElseBranchUses)
     // Minimized from strmv_lnn seed 122007: specialize duplicated the
     // uses of a hoisted temp into both branches of an if; sink_alloc
     // then moved the declaration into the then-branch only, leaving
-    // the else-branch writes unbound.
+    // the else-branch writes unbound. (The seed drew specialize_data,
+    // whose `A[0, 0] >= 0.0` is now refused there, as N may be 0; a
+    // size condition splits the same statement.)
     ProcPtr p = kernels::find_kernel("strmv_lnn").proc;
     std::vector<FuzzStep> steps = {
         {"divide", {487725, 2, 350438}, {"fz1o", "fz1i"}},
         {"bind_expr", {322795, 196594, 1042061}, {"fzb2"}},
         {"lift_alloc", {792222, 43315, 394401}, {}},
-        {"specialize_data", {395233, 95150, 555721}, {}},
+        {"specialize_size", {395233, 95150, 555721}, {}},
     };
     ProcPtr cur = p;
     for (const auto& st : steps)
@@ -457,6 +459,94 @@ TEST(FuzzRegression, CseReadsKeepsInnerIteratorBoundOnSgemm)
                         {{"M", 6}, {"N", 10}, {"K", 7}}, 45007);
 }
 
+/** A kernel that re-declares names: a loop-local `t` declared after a
+ *  read of the outer `t`, and the argument `x` shadowed by a 2-D local
+ *  inside a nested loop. */
+const char* kShadowKernel = R"(
+def shadow(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    assert n % 2 == 0
+    t: f32[n] @ DRAM
+    for i in seq(0, n):
+        t[i] = x[i] * 2.0
+    for i in seq(0, n):
+        y[i] = t[i] + x[i]
+        t: f32[4] @ DRAM
+        t[0] = y[i]
+        for j in seq(0, 2):
+            x: f32[2, 2] @ DRAM
+            x[j, 0] = t[0] + 1.0
+            x[j, 1] = x[j, 0] * 0.5
+            y[i] += x[j, 1]
+)";
+
+/** Replay `chain` on the shadowing kernel: every step but the last
+ *  applies, the last is refused, and what applied agrees with the
+ *  kernel on all three oracles. */
+void
+expect_last_step_refused(const std::string& chain, uint64_t seed)
+{
+    ProcPtr p = parse_proc(kShadowKernel);
+    std::vector<FuzzStep> steps = verify::script_from_string(chain);
+    ASSERT_FALSE(steps.empty());
+    ProcPtr cur = p;
+    for (size_t i = 0; i + 1 < steps.size(); i++)
+        ASSERT_NO_THROW(cur = apply_fuzz_step(cur, steps[i]))
+            << verify::step_to_string(steps[i]);
+    EXPECT_THROW(apply_fuzz_step(cur, steps.back()), SchedulingError)
+        << verify::step_to_string(steps.back());
+    auto rep = tri_oracle_check(p, cur, {{"n", 12}}, seed);
+    EXPECT_TRUE(rep.ok) << rep.detail;
+}
+
+TEST(FuzzRegression, UnrollAndJamRefusesCaptureByAnEarlierCopy)
+{
+    // Shadow seed 3007: unrolling the `i` loop placed copy k's
+    // `t: f32[4]` before copy k+1's read of the outer `t[4 * io + 1]`
+    // ("index 5 not in [0, 4)").
+    expect_last_step_refused("t_uaj[1,4]\n", 3007);
+}
+
+TEST(FuzzRegression, InterleaveRefusesCaptureAfterFission)
+{
+    // Shadow seed 2007: the same capture, reached by interleaving a
+    // loop that fission left holding the read of the outer `t` and
+    // the re-declaration (an arity mismatch on the interpreter's view).
+    expect_last_step_refused("t_interleave[0,2]\n"
+                             "fission[409124,424792,467374]\n"
+                             "t_interleave[3,2]\n",
+                             2007);
+}
+
+TEST(FuzzRegression, SpecializeDataRefusesAConditionOnAShadowedBuffer)
+{
+    // Shadow seeds 40007 and 7007: specialize_data's `x[0] >= 0.0`
+    // was inserted where `x` is the 2-D local (an arity mismatch), at
+    // the top of the loop body and after a cut.
+    expect_last_step_refused("specialize_data[145738,741304,104231]\n",
+                             40007);
+    expect_last_step_refused("cut[73319,517531,511120]\n"
+                             "specialize_data[690414,730751,962547]\n",
+                             7007);
+}
+
+TEST(FuzzRegression, VectorizeKeepsAGuardedDeclarationWithItsUses)
+{
+    // sgemm seed 10007, once fission stopped refusing uses of a name
+    // that its first half declares only in a nested scope: t_vectorize
+    // distributed a lane guard over `fzb5: f32[8, 8]` and its uses
+    // (split_guard), leaving the uses unbound; the C compiler rejected
+    // the undeclared `fzb5`.
+    ProcPtr p = kernels::sgemm();
+    std::vector<FuzzStep> steps = verify::script_from_string(
+        "bind_expr[915297,758991,471078;fzb5]\nt_vectorize[0,1;AVX2,f32]\n");
+    ProcPtr cur = p;
+    ASSERT_NO_THROW(cur = apply_fuzz_step(cur, steps[0]));
+    EXPECT_THROW(apply_fuzz_step(cur, steps[1]), SchedulingError);
+    auto rep = tri_oracle_check(p, cur, {{"M", 6}, {"N", 10}, {"K", 7}},
+                                10007);
+    EXPECT_TRUE(rep.ok) << rep.detail;
+}
+
 TEST(FuzzRegression, LargeLocalArrayRunsInTheSandbox)
 {
     // Minimized from blur seed 19007 in the ASan+UBSan tree: three
@@ -578,7 +668,7 @@ TEST(VerifyFuzz, RandomSchedulesAgreeAcrossOracles)
         SizeEnv env;
         int seeds;
     };
-    // Default budget: 5 * 40 + 12 = 212 random schedules (>= 200).
+    // Default budget: 6 * 40 + 12 = 252 random schedules (>= 200).
     int per = 40;
     bool custom_budget = false;
     if (const char* env = std::getenv("EXO2_VERIFY_FUZZ_SEEDS")) {
@@ -599,6 +689,7 @@ TEST(VerifyFuzz, RandomSchedulesAgreeAcrossOracles)
          {{"M", 6}, {"N", 10}, {"K", 7}}, per},
         {"blur", kernels::blur(), {{"H", 32}, {"W", 256}},
          std::max(1, per * 3 / 10)},
+        {"shadow", parse_proc(kShadowKernel), {{"n", 12}}, per},
     };
     int total = 0;
     std::map<std::string, int> applied;  // step op -> times applied

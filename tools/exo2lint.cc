@@ -34,18 +34,6 @@ namespace {
 
 using namespace exo2;
 
-ProcPtr
-resolve_kernel(const std::string& name)
-{
-    if (name == "sgemm")
-        return kernels::sgemm();
-    if (name == "blur")
-        return kernels::blur();
-    if (name == "unsharp")
-        return kernels::unsharp();
-    return kernels::find_kernel(name).proc;
-}
-
 std::vector<verify::FuzzStep>
 load_script(const std::string& path)
 {
@@ -179,7 +167,7 @@ main(int argc, char** argv)
 
     ProcPtr p;
     try {
-        p = resolve_kernel(kernel);
+        p = kernels::resolve_kernel(kernel);
     } catch (const std::exception& e) {
         std::cerr << "exo2lint: unknown kernel '" << kernel << "': "
                   << e.what() << "\n";

@@ -38,7 +38,6 @@
 
 #include "src/ir/errors.h"
 #include "src/kernels/blas.h"
-#include "src/kernels/image.h"
 #include "src/machine/machine.h"
 #include "src/obs/metrics.h"
 #include "src/obs/phase.h"
@@ -56,40 +55,6 @@ now_seconds()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-ProcPtr
-resolve_kernel(const std::string& name)
-{
-    if (name == "sgemm")
-        return kernels::sgemm();
-    if (name == "blur")
-        return kernels::blur();
-    if (name == "unsharp")
-        return kernels::unsharp();
-    return kernels::find_kernel(name).proc;
-}
-
-verify::SizeEnv
-parse_sizes(const std::string& text)
-{
-    verify::SizeEnv env;
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        std::string pair = text.substr(pos, comma - pos);
-        size_t eq = pair.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            std::cerr << "exo2trace: bad sizes '" << text
-                      << "' (want name=value,...)\n";
-            std::exit(2);
-        }
-        env[pair.substr(0, eq)] = std::stoll(pair.substr(eq + 1));
-        pos = comma + 1;
-    }
-    return env;
 }
 
 std::vector<verify::FuzzStep>
@@ -166,7 +131,7 @@ double
 run_workload(const ProcPtr& p)
 {
     tune::TuneOpts opts;
-    opts.tune_sizes = parse_sizes("n=4096");
+    opts.tune_sizes = verify::parse_sizes("n=4096");
     opts.beam_width = 8;
     opts.max_rounds = 8;
     opts.random_restarts = 10;
@@ -182,7 +147,7 @@ run_workload(const ProcPtr& p)
 int
 overhead_gate()
 {
-    ProcPtr p = resolve_kernel("saxpy");
+    ProcPtr p = kernels::resolve_kernel("saxpy");
 
     // (1) Wall clock of the workload with tracing off (warm once so
     // the engine's memo caches are in the same state for both runs).
@@ -294,7 +259,7 @@ main(int argc, char** argv)
         if (mode == "overhead")
             return overhead_gate();
 
-        ProcPtr p = resolve_kernel(kernel);
+        ProcPtr p = kernels::resolve_kernel(kernel);
         obs::trace_start(out_path);
         obs::phase_begin_collection();
         double t0 = now_seconds();
@@ -309,7 +274,7 @@ main(int argc, char** argv)
             ProcPtr q = tune::replay_script(p, script);
             (void)q;
         } else {
-            opts.tune_sizes = parse_sizes(sizes);
+            opts.tune_sizes = verify::parse_sizes(sizes);
             tune::TuneResult r =
                 tune::autotune(p, find_machine(machine), opts);
             (void)r;
